@@ -5,7 +5,8 @@
 //! (50k rows by default; `--quick` drops to 5k for CI smoke runs) with the
 //! simulated serving-latency model enabled, through:
 //!
-//! 1. **sequential** — the seed path: every LLM call blocks the pipeline;
+//! 1. **sequential** — the oracle: one inline scheduler worker and no cache,
+//!    so every LLM call blocks the pipeline;
 //! 2. **concurrent** — per-attribute fan-out on the `zeroed-runtime`
 //!    scheduler, no cache;
 //! 3. **concurrent+cache (cold)** — same, with the request-dedup cache on;
@@ -84,9 +85,14 @@
 //! ```text
 //! cargo run --release -p zeroed-bench --bin bench_runtime -- --router --persist --mangle --shapes
 //! ```
+//!
+//! The ledger goes to `BENCH_runtime.json`, or with `--quick` to
+//! `target/BENCH_runtime.quick.json` so smoke runs never overwrite the
+//! committed full-size numbers; `--out PATH` overrides either.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use zeroed_core::pipeline::features;
 use zeroed_core::{
     DetectionOutcome, RouterConfig, RouterLlm, RuntimeConfig, StageRepair, StoreConfig, ZeroEd,
     ZeroEdConfig,
@@ -98,6 +104,7 @@ use zeroed_obs::{
     chrome_trace_json, journal_jsonl, EventKind, Profiler, StageProfile, TraceId, TraceRecorder,
     TraceSummary,
 };
+use zeroed_runtime::Scheduler;
 
 const LATENCY_SCALE: f64 = 1.0;
 
@@ -1124,12 +1131,17 @@ fn criteria_section(rows: usize) -> String {
     // Criteria come from the same simulator the pipeline uses; latency
     // sleeps are disabled because only the evaluation engines are timed.
     let llm = SimLlm::default_model(7).with_latency_scale(0.0);
-    let correlated = zeroed_core::pipeline::features::compute_correlated(table, &config);
-    let criteria =
-        zeroed_core::pipeline::features::generate_criteria(table, &correlated, &config, &llm);
+    let dict = table.intern();
+    let correlated = features::compute_correlated_dict(&dict, &config);
+    let criteria = features::generate_criteria_on(
+        &Scheduler::with_workers(1),
+        table,
+        &correlated,
+        &config,
+        &llm,
+    );
     let sets: Vec<&zeroed_criteria::CriteriaSet> = criteria.iter().flatten().collect();
     let n_criteria: usize = sets.iter().map(|s| s.criteria.len()).sum();
-    let dict = table.intern();
 
     // Full-table feature extraction (the per-cell f_cri blocks).
     let t = Instant::now();
@@ -1217,7 +1229,8 @@ fn criteria_section(rows: usize) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_runtime.json".to_string();
+    let mut out_path = None;
+    let mut quick = false;
     let mut rows = 50_000usize;
     let mut workers = 16usize;
     let mut router = false;
@@ -1230,7 +1243,7 @@ fn main() {
         match args[i].as_str() {
             "--out" => {
                 if let Some(p) = args.get(i + 1) {
-                    out_path = p.clone();
+                    out_path = Some(p.clone());
                     i += 1;
                 }
             }
@@ -1246,7 +1259,10 @@ fn main() {
                     i += 1;
                 }
             }
-            "--quick" => rows = 5_000,
+            "--quick" => {
+                quick = true;
+                rows = 5_000;
+            }
             "--router" => router = true,
             "--persist" => persist = true,
             "--mangle" => mangle = true,
@@ -1436,6 +1452,18 @@ fn main() {
     }
     json.push_str("\n}\n");
 
+    // Quick smoke runs must not overwrite the committed full-size ledger:
+    // unless `--out` says otherwise they write under the build directory.
+    let out_path = out_path.unwrap_or_else(|| {
+        if quick {
+            "target/BENCH_runtime.quick.json".to_string()
+        } else {
+            "BENCH_runtime.json".to_string()
+        }
+    });
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create benchmark output directory");
+    }
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("{json}");
     eprintln!("wrote {out_path}");

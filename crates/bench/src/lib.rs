@@ -26,8 +26,9 @@
 //!
 //! ## Perf ledgers
 //!
-//! Two emitters write committed JSON ledgers (the tier-1 verify line runs
-//! both in `--quick` mode; drop `--quick` to regenerate the 50k-row files):
+//! Two emitters write committed JSON ledgers (drop `--quick` to regenerate
+//! the 50k-row files; `bench_runtime --quick`, which the tier-1 verify line
+//! runs, writes `target/BENCH_runtime.quick.json` instead):
 //!
 //! * `bench_features` → `BENCH_features.json` — interned vs seed-reference
 //!   wall-times for featurisation and for the dBoost/NADEEF/KATARA/Raha

@@ -62,10 +62,10 @@ pub struct ZeroEdConfig {
     /// distinct re-ask line. 0 disables re-asking entirely.
     #[serde(default = "default_reask_budget")]
     pub reask_budget: usize,
-    /// LLM orchestration runtime: execution mode (concurrent by default,
-    /// sequential as the correctness oracle), worker pool sizing and the
-    /// request-dedup response cache. Scheduling never changes the detection
-    /// result — concurrent runs are bit-identical to sequential ones.
+    /// LLM orchestration runtime: worker pool sizing and the request-dedup
+    /// response cache (see [`ZeroEdConfig::sequential_runtime`] for the
+    /// oracle setting). Scheduling never changes the detection result —
+    /// concurrent runs are bit-identical to sequential ones.
     pub runtime: RuntimeConfig,
 }
 
@@ -198,8 +198,10 @@ impl ZeroEdConfig {
         self
     }
 
-    /// Runs the pipeline on the sequential oracle path (no scheduler, no
-    /// cache) — the seed behaviour concurrent runs are verified against.
+    /// Runs the pipeline as the sequential oracle: one scheduler worker
+    /// (every task inline on the calling thread, in index order) and no
+    /// cache — the same code path with no fan-out, dedup or store, which
+    /// concurrent and cached runs are verified against.
     pub fn sequential_runtime(mut self) -> Self {
         self.runtime = RuntimeConfig::sequential();
         self
@@ -224,7 +226,9 @@ impl ZeroEdConfig {
     /// persisted write-through and a new [`crate::ZeroEd`] pointed at the
     /// same directory warm-starts from it, issuing zero LLM requests for
     /// already-answered prompts — across process boundaries. Requires the
-    /// cache (the default); the sequential oracle path ignores the store.
+    /// cache (the default): without it (as under
+    /// [`ZeroEdConfig::sequential_runtime`]) the store is never read or
+    /// written.
     ///
     /// The persistence quickstart, compiler-checked:
     ///
@@ -320,12 +324,10 @@ mod tests {
 
     #[test]
     fn runtime_defaults_and_builders() {
-        use zeroed_runtime::ExecMode;
         let c = ZeroEdConfig::default();
-        assert_eq!(c.runtime.mode, ExecMode::Concurrent);
         assert!(c.runtime.cache);
         let seq = ZeroEdConfig::default().sequential_runtime();
-        assert_eq!(seq.runtime.mode, ExecMode::Sequential);
+        assert_eq!(seq.runtime.effective_workers(), 1);
         assert!(!seq.runtime.cache);
         let custom = ZeroEdConfig::default().with_runtime(zeroed_runtime::RuntimeConfig {
             workers: 4,

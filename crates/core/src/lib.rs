@@ -55,6 +55,6 @@ pub use report::{DetectionOutcome, PipelineStats, StepTimings};
 // Re-export the runtime configuration types so callers can tune execution
 // without a separate `zeroed-runtime` dependency.
 pub use zeroed_runtime::{
-    BackendConfig, BreakerPolicy, ExecMode, FsyncPolicy, HedgePolicy, RouterConfig, RouterLlm,
-    RouterStats, RuntimeConfig, StoreConfig, StoreLayer,
+    BackendConfig, BreakerPolicy, FsyncPolicy, HedgePolicy, RouterConfig, RouterLlm, RouterStats,
+    RuntimeConfig, StoreConfig, StoreLayer,
 };

@@ -5,21 +5,15 @@
 //! binary feature block passed to `zeroed-features` as `extra` features.
 
 use crate::config::{CriteriaEngine, ZeroEdConfig};
-use zeroed_criteria::{criteria_features, criteria_features_dict, CriteriaSet};
+use zeroed_criteria::{criteria_features_dict, CriteriaSet};
 use zeroed_features::nmi::top_k_correlated_dict;
 use zeroed_llm::{AttributeContext, LlmClient};
 use zeroed_table::{Table, TableDict};
 
-/// Computes the top-`k` correlated attributes for every column (empty lists
-/// when the correlated-attribute component is ablated). Interns the table
-/// internally; the pipeline itself uses [`compute_correlated_dict`] so the
-/// dictionary is built exactly once per detection run.
-pub fn compute_correlated(table: &Table, config: &ZeroEdConfig) -> Vec<Vec<usize>> {
-    compute_correlated_dict(&table.intern(), config)
-}
-
-/// [`compute_correlated`] over a pre-built distinct-value dictionary: NMI is
-/// estimated on interned `u32` codes instead of string columns.
+/// Computes the top-`k` correlated attributes for every column over the
+/// run's distinct-value dictionary (NMI is estimated on interned `u32`
+/// codes). Lists are empty when the correlated-attribute component is
+/// ablated.
 pub fn compute_correlated_dict(dict: &TableDict, config: &ZeroEdConfig) -> Vec<Vec<usize>> {
     let k = config.effective_top_k();
     (0..dict.n_cols())
@@ -39,33 +33,9 @@ pub fn prompt_sample_rows(n_rows: usize) -> Vec<usize> {
     (0..n_rows).step_by(stride).take(take).collect()
 }
 
-/// Asks the LLM for error-checking criteria for every attribute. Returns
-/// `None` per column when the criteria component is ablated.
-pub fn generate_criteria(
-    table: &Table,
-    correlated: &[Vec<usize>],
-    config: &ZeroEdConfig,
-    llm: &dyn LlmClient,
-) -> Vec<Option<CriteriaSet>> {
-    if !config.use_criteria {
-        return vec![None; table.n_cols()];
-    }
-    let samples = prompt_sample_rows(table.n_rows());
-    (0..table.n_cols())
-        .map(|j| {
-            let ctx = AttributeContext {
-                table,
-                column: j,
-                correlated: &correlated[j],
-                sample_rows: &samples,
-            };
-            Some(llm.generate_criteria(&ctx))
-        })
-        .collect()
-}
-
-/// [`generate_criteria`] fanned out over the runtime scheduler: one task per
-/// attribute, results in column order (bit-identical to the serial loop).
+/// Asks the LLM for error-checking criteria for every attribute, one
+/// scheduler task per attribute with results in column order. Returns `None`
+/// per column when the criteria component is ablated.
 pub fn generate_criteria_on(
     scheduler: &zeroed_runtime::Scheduler,
     table: &Table,
@@ -89,53 +59,11 @@ pub fn generate_criteria_on(
 }
 
 /// Evaluates every column's criteria over the full table, producing the
-/// per-column extra feature blocks for the feature builder. Columns without
-/// criteria get an empty block. Runs on the compiled VM path (interning the
-/// touched columns internally); the pipeline uses [`criteria_extra_dict`]
-/// with its run-wide dictionary and engine switch.
-pub fn criteria_extra(criteria: &[Option<CriteriaSet>], table: &Table) -> Vec<Vec<Vec<f32>>> {
-    criteria
-        .iter()
-        .map(|set| match set {
-            Some(set) if !set.is_empty() => criteria_features(set, table),
-            _ => Vec::new(),
-        })
-        .collect()
-}
-
-fn column_extra(
-    set: &CriteriaSet,
-    table: &Table,
-    dict: &TableDict,
-    engine: CriteriaEngine,
-) -> Vec<Vec<f32>> {
-    match engine {
-        CriteriaEngine::Compiled => criteria_features_dict(set, dict),
-        CriteriaEngine::AstOracle => zeroed_criteria::verify::oracle::criteria_features(set, table),
-    }
-}
-
-/// [`criteria_extra`] over the pipeline's pre-built dictionary, honouring the
-/// configured evaluation engine: compiled-VM per-distinct evaluation by
-/// default, the per-cell AST oracle when pinned. `dict` must describe
-/// `table`.
-pub fn criteria_extra_dict(
-    criteria: &[Option<CriteriaSet>],
-    table: &Table,
-    dict: &TableDict,
-    engine: CriteriaEngine,
-) -> Vec<Vec<Vec<f32>>> {
-    criteria
-        .iter()
-        .map(|set| match set {
-            Some(set) if !set.is_empty() => column_extra(set, table, dict, engine),
-            _ => Vec::new(),
-        })
-        .collect()
-}
-
-/// [`criteria_extra_dict`] fanned out over the runtime scheduler (criteria
-/// evaluation is CPU-bound and embarrassingly parallel per column).
+/// per-column extra feature blocks for the feature builder (columns without
+/// criteria get an empty block). One scheduler task per column, since
+/// criteria evaluation is CPU-bound and independent per column. `engine`
+/// picks compiled-VM per-distinct evaluation (the default) or the per-cell
+/// AST oracle; `dict` must describe `table`.
 pub fn criteria_extra_dict_on(
     scheduler: &zeroed_runtime::Scheduler,
     criteria: &[Option<CriteriaSet>],
@@ -144,7 +72,12 @@ pub fn criteria_extra_dict_on(
     engine: CriteriaEngine,
 ) -> Vec<Vec<Vec<f32>>> {
     scheduler.run(criteria.len(), |j| match &criteria[j] {
-        Some(set) if !set.is_empty() => column_extra(set, table, dict, engine),
+        Some(set) if !set.is_empty() => match engine {
+            CriteriaEngine::Compiled => criteria_features_dict(set, dict),
+            CriteriaEngine::AstOracle => {
+                zeroed_criteria::verify::oracle::criteria_features(set, table)
+            }
+        },
         _ => Vec::new(),
     })
 }
@@ -154,6 +87,7 @@ mod tests {
     use super::*;
     use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
     use zeroed_llm::SimLlm;
+    use zeroed_runtime::Scheduler;
 
     #[test]
     fn prompt_rows_are_bounded_and_spread() {
@@ -177,24 +111,24 @@ mod tests {
         );
         let llm = SimLlm::default_model(0);
         let config = ZeroEdConfig::fast();
-        let corr = compute_correlated(&ds.dirty, &config);
+        let scheduler = Scheduler::with_workers(1);
+        let dict = ds.dirty.intern();
+        let engine = config.criteria_engine;
+        let corr = compute_correlated_dict(&dict, &config);
         assert_eq!(corr.len(), ds.dirty.n_cols());
         assert!(corr.iter().all(|c| c.len() <= 2));
 
-        let crit = generate_criteria(&ds.dirty, &corr, &config, &llm);
+        let crit = generate_criteria_on(&scheduler, &ds.dirty, &corr, &config, &llm);
         assert!(crit.iter().all(|c| c.as_ref().map(|s| !s.is_empty()).unwrap_or(false)));
-        let extra = criteria_extra(&crit, &ds.dirty);
+        let extra = criteria_extra_dict_on(&scheduler, &crit, &ds.dirty, &dict, engine);
         assert_eq!(extra.len(), ds.dirty.n_cols());
         assert_eq!(extra[0].len(), ds.dirty.n_rows());
 
-        let none = generate_criteria(
-            &ds.dirty,
-            &corr,
-            &config.clone().without_criteria(),
-            &llm,
-        );
+        let no_crit = config.clone().without_criteria();
+        let none = generate_criteria_on(&scheduler, &ds.dirty, &corr, &no_crit, &llm);
         assert!(none.iter().all(|c| c.is_none()));
-        assert!(criteria_extra(&none, &ds.dirty).iter().all(|e| e.is_empty()));
+        let none_extra = criteria_extra_dict_on(&scheduler, &none, &ds.dirty, &dict, engine);
+        assert!(none_extra.iter().all(|e| e.is_empty()));
     }
 
     #[test]
@@ -207,7 +141,8 @@ mod tests {
                 error_spec: None,
             },
         );
-        let corr = compute_correlated(&ds.dirty, &ZeroEdConfig::fast().without_correlated());
+        let config = ZeroEdConfig::fast().without_correlated();
+        let corr = compute_correlated_dict(&ds.dirty.intern(), &config);
         assert!(corr.iter().all(|c| c.is_empty()));
     }
 }

@@ -1,29 +1,28 @@
 //! The four-step ZeroED pipeline.
 //!
-//! Since the orchestration-runtime refactor the pipeline has two execution
-//! paths selected by [`ZeroEdConfig::runtime`]:
+//! There is one execution path. Per-attribute work is fanned out on a
+//! [`zeroed_runtime::Scheduler`] sized by [`ZeroEdConfig::runtime`]. Each
+//! attribute's LLM stage chain (distribution analysis → guideline → label
+//! batches, then refinement → augmentation) runs as one task, preserving
+//! stage order within the attribute while attributes proceed in parallel.
+//! When the request cache is enabled, the [`zeroed_llm::LlmClient`] is
+//! wrapped in a [`zeroed_runtime::CachedLlm`], so identical requests
+//! (retries, re-runs of the same detection) replay stored responses instead
+//! of calling the model.
 //!
-//! * **Concurrent** (default) — per-attribute work is fanned out across the
-//!   [`zeroed_runtime::Scheduler`] worker pool. Each attribute's LLM stage
-//!   chain (distribution analysis → guideline → label batches, then
-//!   refinement → augmentation) runs as one task, preserving stage order
-//!   within the attribute while attributes proceed in parallel. When the
-//!   request cache is enabled, the [`zeroed_llm::LlmClient`] is wrapped in a
-//!   [`zeroed_runtime::CachedLlm`], so identical requests (retries, re-runs
-//!   of the same detection) replay stored responses instead of calling the
-//!   model.
-//! * **Sequential** — the seed behaviour: plain loops on the calling thread,
-//!   no scheduler, no cache. Kept as the correctness oracle; the concurrent
-//!   path must produce a bit-identical [`ErrorMask`] (asserted by the
-//!   `runtime_equivalence` integration tests), the same discipline
-//!   `zeroed_features::reference` established for the featuriser.
+//! The correctness oracle is that same path under
+//! [`ZeroEdConfig::sequential_runtime`]: one worker, so the scheduler runs
+//! every task inline on the calling thread in index order, and no cache.
+//! Every other configuration must produce a bit-identical [`ErrorMask`]
+//! (asserted by the `runtime_equivalence` integration tests), the same
+//! discipline `zeroed_features::reference` established for the featuriser.
 //!
-//! With [`ZeroEdConfig::with_store`] the concurrent+cache path additionally
-//! persists every published response to a crash-safe on-disk store
-//! (`zeroed-store`) and preloads it at construction, so a *fresh process*
-//! re-running the same detection issues zero LLM requests (asserted by the
-//! `store_warm_start` conformance tests). The sequential oracle ignores the
-//! store by design.
+//! With [`ZeroEdConfig::with_store`] the cached path additionally persists
+//! every published response to a crash-safe on-disk store (`zeroed-store`)
+//! and preloads it at construction, so a *fresh process* re-running the
+//! same detection issues zero LLM requests (asserted by the
+//! `store_warm_start` conformance tests). Without the cache no request
+//! reads or writes the store.
 //!
 //! The two *local* hot stages run dedup-weighted fast paths — [`sampling`]
 //! clusters each attribute over its distinct feature vectors and
@@ -41,11 +40,11 @@ pub mod training_data;
 use crate::config::ZeroEdConfig;
 use crate::report::{DetectionOutcome, PipelineStats, StepTimings};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use zeroed_features::{FeatureBuilder, FeatureConfig};
 use zeroed_llm::{AttributeContext, LlmClient};
 use zeroed_obs::{EventKind, Profiler, StageProfile, TraceId, TraceRecorder};
-use zeroed_runtime::{CachedLlm, ExecMode, ResponseCache, RouterLlm, Scheduler, StoreLayer};
+use zeroed_runtime::{CachedLlm, ResponseCache, RouterLlm, Scheduler, StoreLayer};
 use zeroed_table::{ErrorMask, Table};
 
 /// A parallel leaf node for a grafted maintenance timing (store opens,
@@ -150,9 +149,9 @@ impl ZeroEd {
     /// starts replay them bit-identically with zero requests.
     pub fn detect(&self, dirty: &Table, llm: &dyn LlmClient) -> DetectionOutcome {
         // One flight recorder per run, seeded with the config seed so trace
-        // ids are stable across execution modes (same request key + same
-        // nonce → same [`TraceId`] whether the run is sequential, concurrent
-        // or routed).
+        // ids are stable across runtime configurations (same request key +
+        // same nonce → same [`TraceId`] whether the run is sequential,
+        // concurrent or routed).
         let recorder = TraceRecorder::new(self.config.seed);
         self.detect_recorded(dirty, llm, &recorder)
     }
@@ -174,65 +173,59 @@ impl ZeroEd {
         let repairing = repair::RepairLlm::new(llm, self.config.reask_budget)
             .with_span(profiler.root().child_parallel("repair"))
             .with_recorder(Arc::clone(recorder));
-        let mut outcome = match self.config.runtime.mode {
-            ExecMode::Sequential => self.detect_sequential(dirty, &repairing, &profiler),
-            ExecMode::Concurrent if self.config.runtime.cache => {
-                let mut cached = CachedLlm::for_table(&repairing, Arc::clone(&self.cache), dirty)
-                    .with_recorder(Arc::clone(recorder));
-                // A fresh sink per run: its counters attribute write-through
-                // activity to this run alone, even when cloned detectors
-                // share the layer and persist concurrently.
-                let sink = self
-                    .store
-                    .as_ref()
-                    .map(|layer| layer.sink().with_recorder(Arc::clone(recorder)));
-                if let Some(sink) = &sink {
-                    cached = cached.with_persistence(sink.clone());
-                }
-                if self.store.is_some() {
-                    // The preload itself ran at construction (before this
-                    // recorder existed); journal it here so the trace ledger
-                    // carries the warm-start size this run actually saw.
-                    recorder.emit(
-                        TraceId::NONE,
-                        EventKind::StorePreload,
-                        self.store_preloaded as u64,
-                    );
-                }
-                let mut outcome = self.detect_concurrent(dirty, &cached, &profiler, recorder);
-                // Per-adapter counters, not a delta of the shared cache's
-                // global stats: clones of this detector share the cache and
-                // may detect concurrently, and their activity must not leak
-                // into this run's accounting.
-                let stats = cached.stats();
-                outcome.stats.cache_hits = stats.hits as usize;
-                outcome.stats.cache_misses = stats.misses as usize;
-                outcome.stats.cache_coalesced = stats.coalesced as usize;
-                outcome.stats.cache_tokens_saved = stats.tokens_saved() as usize;
-                outcome.stats.store_hits = stats.store_hits as usize;
-                if let (Some(layer), Some(sink)) = (&self.store, &sink) {
-                    // Wait for the background writer to drain this run's
-                    // offers so the persisted counters are exact (a queue
-                    // barrier, not an fsync — the hot path stayed unblocked).
-                    layer.drain();
-                    let persisted = sink.stats();
-                    outcome.stats.store_persisted_records =
-                        persisted.persisted_records as usize;
-                    outcome.stats.store_persisted_bytes = persisted.persisted_bytes as usize;
-                    outcome.stats.store_preloaded_records = self.store_preloaded;
-                    let recovery = layer.recovery();
-                    outcome.stats.store_recovered_records = recovery.records_recovered;
-                    outcome.stats.store_discarded_tails =
-                        recovery.tails_truncated + recovery.segments_skipped;
-                    // TTL/GC accounting: expiries at open plus any a
-                    // compaction performed while this run appended.
-                    outcome.stats.store_expired_records =
-                        layer.store_stats().expired_records as usize;
-                    outcome.stats.store_shards = layer.store().shard_count();
-                }
-                outcome
+        let mut outcome = if self.config.runtime.cache {
+            let mut cached = CachedLlm::for_table(&repairing, Arc::clone(&self.cache), dirty)
+                .with_recorder(Arc::clone(recorder));
+            // A fresh sink per run: its counters attribute write-through
+            // activity to this run alone, even when cloned detectors
+            // share the layer and persist concurrently.
+            let sink = self
+                .store
+                .as_ref()
+                .map(|layer| layer.sink().with_recorder(Arc::clone(recorder)));
+            if let Some(sink) = &sink {
+                cached = cached.with_persistence(sink.clone());
+                // The preload itself ran at construction (before this
+                // recorder existed); journal it here so the trace ledger
+                // carries the warm-start size this run actually saw.
+                recorder.emit(
+                    TraceId::NONE,
+                    EventKind::StorePreload,
+                    self.store_preloaded as u64,
+                );
             }
-            ExecMode::Concurrent => self.detect_concurrent(dirty, &repairing, &profiler, recorder),
+            let mut outcome = self.run_pipeline(dirty, &cached, &profiler, recorder);
+            // Per-adapter counters, not a delta of the shared cache's
+            // global stats: clones of this detector share the cache and
+            // may detect concurrently, and their activity must not leak
+            // into this run's accounting.
+            let stats = cached.stats();
+            outcome.stats.cache_hits = stats.hits as usize;
+            outcome.stats.cache_misses = stats.misses as usize;
+            outcome.stats.cache_coalesced = stats.coalesced as usize;
+            outcome.stats.cache_tokens_saved = stats.tokens_saved() as usize;
+            outcome.stats.store_hits = stats.store_hits as usize;
+            if let (Some(layer), Some(sink)) = (&self.store, &sink) {
+                // Wait for the background writer to drain this run's
+                // offers so the persisted counters are exact (a queue
+                // barrier, not an fsync — the hot path stayed unblocked).
+                layer.drain();
+                let persisted = sink.stats();
+                outcome.stats.store_persisted_records = persisted.persisted_records as usize;
+                outcome.stats.store_persisted_bytes = persisted.persisted_bytes as usize;
+                outcome.stats.store_preloaded_records = self.store_preloaded;
+                let recovery = layer.recovery();
+                outcome.stats.store_recovered_records = recovery.records_recovered;
+                outcome.stats.store_discarded_tails =
+                    recovery.tails_truncated + recovery.segments_skipped;
+                // TTL/GC accounting: expiries at open plus any a
+                // compaction performed while this run appended.
+                outcome.stats.store_expired_records = layer.store_stats().expired_records as usize;
+                outcome.stats.store_shards = layer.store().shard_count();
+            }
+            outcome
+        } else {
+            self.run_pipeline(dirty, &repairing, &profiler, recorder)
         };
         outcome.stats.repair = repairing.counters();
         // Summarised after every layer has settled: the store drain above is
@@ -295,10 +288,10 @@ impl ZeroEd {
     /// [`ZeroEdConfig::runtime`] policy).
     ///
     /// The router is an ordinary [`LlmClient`], so the pipeline itself runs
-    /// unchanged — [`ZeroEd::detect`] handles mode and caching exactly as for
-    /// a single backend. On top of that, this entry point folds the router's
-    /// activity (requests, failovers, hedges, breaker trips, hedge waste)
-    /// into the returned [`PipelineStats`].
+    /// unchanged — [`ZeroEd::detect`] handles scheduling and caching exactly
+    /// as for a single backend. On top of that, this entry point folds the
+    /// router's activity (requests, failovers, hedges, breaker trips, hedge
+    /// waste) into the returned [`PipelineStats`].
     ///
     /// Routing never changes the detection result: with response-equivalent
     /// backends, the mask is bit-identical to a single-backend sequential run
@@ -328,8 +321,11 @@ impl ZeroEd {
         outcome
     }
 
-    /// The concurrent path: per-attribute fan-out on the scheduler.
-    fn detect_concurrent(
+    /// The five pipeline steps, with per-attribute work fanned out on a
+    /// scheduler built from [`ZeroEdConfig::runtime`] (inline on the calling
+    /// thread when it has one worker). Each step is a top-level span of the
+    /// stage profile; [`StepTimings`] are read back from those spans.
+    fn run_pipeline(
         &self,
         dirty: &Table,
         llm: &dyn LlmClient,
@@ -340,25 +336,26 @@ impl ZeroEd {
         let n_rows = dirty.n_rows();
         let n_cols = dirty.n_cols();
         let mut stats = PipelineStats::default();
-        let mut timings = StepTimings::default();
 
         if n_rows == 0 || n_cols == 0 {
             return DetectionOutcome {
                 mask: ErrorMask::for_table(dirty),
-                timings,
+                timings: StepTimings::default(),
                 stats,
             };
         }
 
         let root = profiler.root();
-        let t_run = Instant::now();
+        let run = root.timer();
         let scheduler = Scheduler::from_config(&config.runtime).with_recorder(Arc::clone(recorder));
 
         // ------------------------------------------------------------------
         // Step 1 — feature representation with criteria reasoning (§III-B).
         // ------------------------------------------------------------------
-        let t0 = Instant::now();
         let step = root.child("features");
+        let timer = step.timer();
+        // Intern the table once; the dictionary is shared by correlated-
+        // attribute selection, the frequency model and the feature caches.
         let dict = step.child("intern").time(|| Arc::new(dirty.intern()));
         let correlated = step
             .child("correlated_nmi")
@@ -381,18 +378,19 @@ impl ZeroEd {
             ..FeatureConfig::default()
         };
         let builder = FeatureBuilder::new(feature_config);
+        // Reuse the correlated attributes computed above (the same lists the
+        // LLM prompt contexts describe) — the NMI sweep runs exactly once.
         let fitted = step
             .child("fit")
             .time(|| builder.fit_prepared(dirty, Arc::clone(&dict), correlated.clone(), &extra));
         let feats = step.child("build_matrices").time(|| fitted.build_all());
-        timings.features = t0.elapsed();
-        step.record(timings.features);
+        timer.stop();
 
         // ------------------------------------------------------------------
         // Step 2 — representative sampling (§III-C).
         // ------------------------------------------------------------------
-        let t1 = Instant::now();
         let step = root.child("sampling");
+        let timer = step.timer();
         let per_col = step.child_dist("sample_column");
         let samplings: Vec<sampling::ColumnSampling> = scheduler.run(n_cols, |j| {
             per_col.time(|| {
@@ -405,15 +403,14 @@ impl ZeroEd {
                 )
             })
         });
-        timings.sampling = t1.elapsed();
-        step.record(timings.sampling);
+        timer.stop();
 
         // ------------------------------------------------------------------
         // Step 3 — holistic LLM labelling (§III-C). One task per attribute:
         // analysis → guideline → label batches, ordered within the task.
         // ------------------------------------------------------------------
-        let t2 = Instant::now();
         let step = root.child("labeling");
+        let timer = step.timer();
         let per_col = step.child_dist("label_attribute");
         let label_outcomes: Vec<labeling::LabelOutcome> = scheduler.run(n_cols, |j| {
             per_col.time(|| {
@@ -431,15 +428,14 @@ impl ZeroEd {
             stats.label_fallback_cells += outcome.fallback_cells;
             stats.label_defaulted_cells += outcome.defaulted_cells;
         }
-        timings.labeling = t2.elapsed();
-        step.record(timings.labeling);
+        timer.stop();
 
         // ------------------------------------------------------------------
         // Step 4 — training-data construction (Algorithm 1). One task per
         // attribute: propagation → refinement → verification → augmentation.
         // ------------------------------------------------------------------
-        let t3 = Instant::now();
         let step = root.child("training_data");
+        let timer = step.timer();
         let per_col = step.child_dist("construct_attribute");
         let verify_dist = step.child_dist("criteria_verify");
         let training: Vec<training_data::ColumnTrainingData> = scheduler.run(n_cols, |j| {
@@ -472,14 +468,13 @@ impl ZeroEd {
             .iter()
             .filter_map(|d| d.criteria.as_ref().map(|c| c.len()))
             .sum();
-        timings.training_data = t3.elapsed();
-        step.record(timings.training_data);
+        timer.stop();
 
         // ------------------------------------------------------------------
         // Step 5 — detector training and prediction (§III-D).
         // ------------------------------------------------------------------
-        let t4 = Instant::now();
         let step = root.child("detector");
+        let timer = step.timer();
         let per_col = step.child_dist("train_predict");
         let mut mask = ErrorMask::for_table(dirty);
         let predictions: Vec<Vec<bool>> = scheduler.run(n_cols, |j| {
@@ -501,15 +496,15 @@ impl ZeroEd {
                 }
             }
         }
-        timings.detector = t4.elapsed();
-        step.record(timings.detector);
+        timer.stop();
 
         let sched_stats = scheduler.stats();
         stats.runtime_tasks = sched_stats.tasks as usize;
         stats.runtime_retries = sched_stats.retries as usize;
 
-        root.record(t_run.elapsed());
+        run.stop();
         let mut profile = profiler.snapshot();
+        let timings = StepTimings::from_profile(&profile);
         // Graft the scheduler's per-task distributions: queue wait (submit →
         // pickup) and execute (task body) across all five fan-outs. CPU time
         // summed over workers, so the node is parallel.
@@ -522,194 +517,6 @@ impl ZeroEd {
         runtime_node.children.push(st.execute.to_stage("execute"));
         profile.children.push(runtime_node);
         stats.stage_profile = Some(profile);
-
-        DetectionOutcome {
-            mask,
-            timings,
-            stats,
-        }
-    }
-
-    /// The sequential oracle path: the seed behaviour, plain loops on the
-    /// calling thread, no scheduler, no cache. Stage spans mirror the
-    /// concurrent path's names so breakdowns compare across modes (the
-    /// per-attribute distribution nodes stay flagged parallel for symmetry
-    /// even though this path runs them on the calling thread).
-    fn detect_sequential(
-        &self,
-        dirty: &Table,
-        llm: &dyn LlmClient,
-        profiler: &Profiler,
-    ) -> DetectionOutcome {
-        let config = &self.config;
-        let n_rows = dirty.n_rows();
-        let n_cols = dirty.n_cols();
-        let mut stats = PipelineStats::default();
-        let mut timings = StepTimings::default();
-
-        if n_rows == 0 || n_cols == 0 {
-            return DetectionOutcome {
-                mask: ErrorMask::for_table(dirty),
-                timings,
-                stats,
-            };
-        }
-
-        let root = profiler.root();
-        let t_run = Instant::now();
-
-        // ------------------------------------------------------------------
-        // Step 1 — feature representation with criteria reasoning (§III-B).
-        // ------------------------------------------------------------------
-        let t0 = Instant::now();
-        let step = root.child("features");
-        // Intern the table once; the dictionary is shared by correlated-
-        // attribute selection, the frequency model and the feature caches.
-        let dict = step.child("intern").time(|| Arc::new(dirty.intern()));
-        let correlated = step
-            .child("correlated_nmi")
-            .time(|| features::compute_correlated_dict(&dict, config));
-        let criteria = step
-            .child("criteria_llm")
-            .time(|| features::generate_criteria(dirty, &correlated, config, llm));
-        let extra = step
-            .child("criteria_features")
-            .time(|| features::criteria_extra_dict(&criteria, dirty, &dict, config.criteria_engine));
-        let feature_config = FeatureConfig {
-            embed_dim: config.embed_dim,
-            top_k_corr: config.effective_top_k(),
-            ..FeatureConfig::default()
-        };
-        let builder = FeatureBuilder::new(feature_config);
-        // Reuse the correlated attributes computed above (the same lists the
-        // LLM prompt contexts describe) — the NMI sweep runs exactly once.
-        let fitted = step
-            .child("fit")
-            .time(|| builder.fit_prepared(dirty, Arc::clone(&dict), correlated.clone(), &extra));
-        let feats = step.child("build_matrices").time(|| fitted.build_all());
-        timings.features = t0.elapsed();
-        step.record(timings.features);
-
-        // ------------------------------------------------------------------
-        // Step 2 — representative sampling (§III-C).
-        // ------------------------------------------------------------------
-        let t1 = Instant::now();
-        let step = root.child("sampling");
-        let per_col = step.child_dist("sample_column");
-        let samplings: Vec<sampling::ColumnSampling> = (0..n_cols)
-            .map(|j| {
-                per_col.time(|| {
-                    sampling::sample_column(
-                        &feats.unified[j],
-                        config.clusters_for(n_rows),
-                        config.sampling.into(),
-                        config.seed.wrapping_add(j as u64),
-                        config.max_cluster_rows,
-                    )
-                })
-            })
-            .collect();
-        timings.sampling = t1.elapsed();
-        step.record(timings.sampling);
-
-        // ------------------------------------------------------------------
-        // Step 3 — holistic LLM labelling (§III-C).
-        // ------------------------------------------------------------------
-        let t2 = Instant::now();
-        let step = root.child("labeling");
-        let per_col = step.child_dist("label_attribute");
-        let mut label_outcomes = Vec::with_capacity(n_cols);
-        for j in 0..n_cols {
-            let ctx = AttributeContext {
-                table: dirty,
-                column: j,
-                correlated: &correlated[j],
-                sample_rows: &samplings[j].representatives,
-            };
-            let outcome = per_col.time(|| {
-                labeling::label_representatives(&ctx, config, llm, &samplings[j].representatives)
-            });
-            stats.llm_labeled_cells += outcome.labels.len();
-            stats.label_fallback_cells += outcome.fallback_cells;
-            stats.label_defaulted_cells += outcome.defaulted_cells;
-            label_outcomes.push(outcome);
-        }
-        timings.labeling = t2.elapsed();
-        step.record(timings.labeling);
-
-        // ------------------------------------------------------------------
-        // Step 4 — training-data construction (Algorithm 1).
-        // ------------------------------------------------------------------
-        let t3 = Instant::now();
-        let step = root.child("training_data");
-        let per_col = step.child_dist("construct_attribute");
-        let verify_dist = step.child_dist("criteria_verify");
-        let mut training: Vec<training_data::ColumnTrainingData> = Vec::with_capacity(n_cols);
-        for j in 0..n_cols {
-            let ctx = AttributeContext {
-                table: dirty,
-                column: j,
-                correlated: &correlated[j],
-                sample_rows: &samplings[j].representatives,
-            };
-            let data = per_col.time(|| {
-                training_data::construct(
-                    &ctx,
-                    config,
-                    llm,
-                    &samplings[j],
-                    &label_outcomes[j].labels,
-                    criteria[j].clone(),
-                    &dict,
-                    Some(&verify_dist),
-                )
-            });
-            stats.propagated_cells += data.propagated_cells;
-            stats.verified_clean_rows += data.clean_rows.len();
-            stats.error_rows += data.error_rows.len();
-            stats.augmented_rows += data.augmented.len();
-            training.push(data);
-        }
-        stats.criteria_count = training
-            .iter()
-            .filter_map(|d| d.criteria.as_ref().map(|c| c.len()))
-            .sum();
-        timings.training_data = t3.elapsed();
-        step.record(timings.training_data);
-
-        // ------------------------------------------------------------------
-        // Step 5 — detector training and prediction (§III-D).
-        // ------------------------------------------------------------------
-        let t4 = Instant::now();
-        let step = root.child("detector");
-        let per_col = step.child_dist("train_predict");
-        let mut mask = ErrorMask::for_table(dirty);
-        let predictions: Vec<Vec<bool>> = (0..n_cols)
-            .map(|j| {
-                per_col.time(|| {
-                    detector::train_and_predict(
-                        dirty,
-                        j,
-                        &fitted,
-                        &feats.unified[j],
-                        &training[j],
-                        config,
-                    )
-                })
-            })
-            .collect();
-        for (j, column_pred) in predictions.iter().enumerate() {
-            for (i, &flag) in column_pred.iter().enumerate() {
-                if flag {
-                    mask.set(i, j, true);
-                }
-            }
-        }
-        timings.detector = t4.elapsed();
-        step.record(timings.detector);
-
-        root.record(t_run.elapsed());
-        stats.stage_profile = Some(profiler.snapshot());
 
         DetectionOutcome {
             mask,
@@ -799,13 +606,16 @@ mod tests {
         let cache = profile.find("llm_cache/lock_hold").expect("cache node");
         assert!(cache.parallel);
 
-        // The sequential oracle profiles the same stage names.
+        // The sequential oracle profiles the same stage names; its tasks run
+        // through the inline scheduler, so none ever waits in a queue.
         let seq = ZeroEd::new(config.sequential_runtime()).detect(&ds.dirty, &llm);
         let seq_profile = seq.stats.stage_profile.as_ref().unwrap();
         assert!(seq_profile.accounting_ok());
         assert!(seq_profile.coverage() >= 0.9);
         assert!(seq_profile.find("labeling/label_attribute").is_some());
-        assert!(seq_profile.find("runtime").is_none(), "no scheduler node");
+        assert!(seq_profile.find("runtime").is_some(), "inline scheduler node");
+        let queue_wait = seq_profile.find("runtime/queue_wait").unwrap();
+        assert_eq!(queue_wait.count, 0, "inline tasks never queue");
     }
 
     #[test]

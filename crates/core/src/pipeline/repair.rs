@@ -149,7 +149,7 @@ pub struct RepairLlm<'a> {
     /// Optional flight recorder; when set, each ladder outcome journals one
     /// `repair_*` [`zeroed_obs::TraceEvent`], stamped with the caller's
     /// current trace scope id (requests resolved through the cache run inside
-    /// a scope; sequential-mode events carry [`zeroed_obs::TraceId::NONE`]).
+    /// a scope; uncached runs' events carry [`zeroed_obs::TraceId::NONE`]).
     recorder: Option<std::sync::Arc<zeroed_obs::TraceRecorder>>,
 }
 

@@ -210,9 +210,18 @@ mod tests {
             .with_error_types(types);
         let config = ZeroEdConfig::fast();
         let column = ds.dirty.column_index("state").unwrap();
-        let correlated = features::compute_correlated(&ds.dirty, &config);
-        let criteria = features::generate_criteria(&ds.dirty, &correlated, &config, &llm);
-        let extra = features::criteria_extra(&criteria, &ds.dirty);
+        let scheduler = zeroed_runtime::Scheduler::with_workers(1);
+        let dict = ds.dirty.intern();
+        let correlated = features::compute_correlated_dict(&dict, &config);
+        let criteria =
+            features::generate_criteria_on(&scheduler, &ds.dirty, &correlated, &config, &llm);
+        let extra = features::criteria_extra_dict_on(
+            &scheduler,
+            &criteria,
+            &ds.dirty,
+            &dict,
+            config.criteria_engine,
+        );
         let feats = FeatureBuilder::new(FeatureConfig {
             embed_dim: 8,
             top_k_corr: 2,

@@ -22,6 +22,19 @@ pub struct StepTimings {
 }
 
 impl StepTimings {
+    /// Reads each step's wall time from the matching top-level span of a
+    /// run's stage profile (zero for a missing span).
+    pub(crate) fn from_profile(profile: &zeroed_obs::StageProfile) -> Self {
+        let wall = |name| profile.child(name).map_or(Duration::ZERO, |s| s.wall());
+        Self {
+            features: wall("features"),
+            sampling: wall("sampling"),
+            labeling: wall("labeling"),
+            training_data: wall("training_data"),
+            detector: wall("detector"),
+        }
+    }
+
     /// Total wall-clock time across all steps.
     pub fn total(&self) -> Duration {
         self.features + self.sampling + self.labeling + self.training_data + self.detector
@@ -58,7 +71,8 @@ pub struct PipelineStats {
     pub cache_coalesced: usize,
     /// Input + output tokens the cache hits avoided.
     pub cache_tokens_saved: usize,
-    /// Tasks executed by the runtime scheduler (0 on the sequential path).
+    /// Tasks executed by the runtime scheduler (inline on the calling thread
+    /// under the sequential oracle).
     pub runtime_tasks: usize,
     /// Scheduler retry attempts.
     pub runtime_retries: usize,

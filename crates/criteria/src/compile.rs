@@ -21,7 +21,7 @@
 //! | op   | name            | immediates          | semantics                                        |
 //! |------|-----------------|---------------------|--------------------------------------------------|
 //! | 0x01 | `NotMissing`    | —                   | push `!is_missing(this)`                         |
-//! | 0x02 | `PatternIn`     | set: u32            | push `str_sets[set]` ∋ `l3_pattern(this)`        |
+//! | 0x02 | `PatternIn`     | set: u32            | push `str_sets[set]` ∋ `generalize(this, L3)`    |
 //! | 0x03 | `LenInRange`    | min: u64, max: u64  | push `min <= chars(this) <= max`                 |
 //! | 0x04 | `NumInRange`    | lo: u32, hi: u32    | push `f64s[lo] <= parse(this) <= f64s[hi]`       |
 //! | 0x05 | `DomainIn`      | set: u32            | push `str_sets[set]` ∋ `lower(trim(this))`       |
@@ -67,7 +67,7 @@ pub const BYTECODE_MAGIC: [u8; 4] = *b"ZCVM";
 pub enum Op {
     /// `push !is_missing(this)`
     NotMissing = 0x01,
-    /// `push str_sets[imm] contains l3_pattern(this)`
+    /// `push str_sets[imm] contains generalize(this, Level::L3)`
     PatternIn = 0x02,
     /// `push min <= this.chars().count() <= max`
     LenInRange = 0x03,

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use zeroed_features::pattern::{generalize, Level};
 use zeroed_table::value::{is_missing, parse_numeric, tokenize};
 use zeroed_table::Table;
 
@@ -84,9 +85,7 @@ impl Check {
         let value = table.cell(row, col);
         match self {
             Check::NotMissing => !is_missing(value),
-            Check::PatternTemplate { allowed } => {
-                allowed.contains(&l3_pattern(value))
-            }
+            Check::PatternTemplate { allowed } => allowed.contains(&generalize(value, Level::L3)),
             Check::LengthRange { min, max } => {
                 let len = value.chars().count();
                 len >= *min && len <= *max
@@ -132,60 +131,6 @@ impl Check {
             }
         }
     }
-}
-
-/// L3 pattern generalisation: uppercase/lowercase/digit/symbol run-length
-/// encoding, e.g. `"DOe123."` → `"U[2]u[1]D[3]S[1]"`.
-///
-/// This intentionally duplicates `zeroed-features::pattern::generalize` at
-/// L3 to keep this crate free of that dependency direction (features depends
-/// on the *output* of criteria, not the other way round). The two copies are
-/// held equivalent by the shared-corpus de-drift test in
-/// `tests/pattern_drift.rs` — change both or neither. It is `pub` because
-/// the bytecode VM ([`crate::vm`]) and that test both need the exact
-/// generaliser [`Check::PatternTemplate`] is specified against.
-pub fn l3_pattern(value: &str) -> String {
-    let mut out = String::new();
-    let mut prev: Option<char> = None;
-    let mut run = 0usize;
-    let classify = |c: char| {
-        if c.is_uppercase() {
-            'U'
-        } else if c.is_alphabetic() {
-            'u'
-        } else if c.is_ascii_digit() {
-            'D'
-        } else {
-            'S'
-        }
-    };
-    let flush = |out: &mut String, c: char, len: usize| {
-        if len > 0 {
-            out.push(c);
-            out.push('[');
-            out.push_str(&len.to_string());
-            out.push(']');
-        }
-    };
-    for c in value.chars() {
-        let sym = classify(c);
-        match prev {
-            Some(p) if p == sym => run += 1,
-            Some(p) => {
-                flush(&mut out, p, run);
-                prev = Some(sym);
-                run = 1;
-            }
-            None => {
-                prev = Some(sym);
-                run = 1;
-            }
-        }
-    }
-    if let Some(p) = prev {
-        flush(&mut out, p, run);
-    }
-    out
 }
 
 /// A named error-checking criterion with its rationale (the "error reason" the
@@ -292,7 +237,7 @@ mod tests {
     fn pattern_length_numeric_charset() {
         let t = table();
         let zip_pattern = Check::PatternTemplate {
-            allowed: [l3_pattern("12345")].into_iter().collect(),
+            allowed: [generalize("12345", Level::L3)].into_iter().collect(),
         };
         assert!(zip_pattern.evaluate(&t, 0, 2));
         assert!(!zip_pattern.evaluate(&t, 2, 2)); // too short
@@ -372,8 +317,18 @@ mod tests {
 
     #[test]
     fn l3_pattern_examples() {
-        assert_eq!(l3_pattern("DOe123."), "U[2]u[1]D[3]S[1]");
-        assert_eq!(l3_pattern(""), "");
-        assert_eq!(l3_pattern("12345"), "D[5]");
+        // Templates are L3 patterns, so case runs count: "DOe123." matches
+        // "U[2]u[1]D[3]S[1]" and "DOE123." does not.
+        let check = Check::PatternTemplate {
+            allowed: ["U[2]u[1]D[3]S[1]".to_string()].into_iter().collect(),
+        };
+        let t = Table::new(
+            "t",
+            vec!["v".into()],
+            vec![vec!["DOe123.".into()], vec!["DOE123.".into()]],
+        )
+        .unwrap();
+        assert!(check.evaluate(&t, 0, 0));
+        assert!(!check.evaluate(&t, 1, 0));
     }
 }

@@ -68,7 +68,7 @@ pub mod verify;
 pub mod vm;
 
 pub use compile::{compile_check, compile_set, CompiledSet, Program, BYTECODE_VERSION};
-pub use dsl::{l3_pattern, Check, CriteriaSet, Criterion};
+pub use dsl::{Check, CriteriaSet, Criterion};
 pub use verify::{
     criteria_features, criteria_features_dict, criterion_accuracy, filter_criteria,
     filter_criteria_dict, filter_rows, filter_rows_dict, pass_rate,

@@ -5,7 +5,8 @@
 //! * [`Program::eval`] — the instruction interpreter: one program, one
 //!   `(this, other)` value pair, a boolean stack. It reuses the exact cell
 //!   helpers the AST oracle calls (`zeroed_table::value::{is_missing,
-//!   parse_numeric, tokenize}` and [`crate::dsl::l3_pattern`]), so a single
+//!   parse_numeric, tokenize}` and `zeroed_features::pattern::generalize` at
+//!   L3), so a single
 //!   evaluation is semantics-identical to [`crate::dsl::Check::evaluate`] by
 //!   construction; the differential suite holds it to *bit*-identical.
 //! * [`DistinctEval`] — the columnar driver: criteria are pure functions of
@@ -24,6 +25,7 @@
 
 use crate::compile::{CompiledSet, Op, Program};
 use std::collections::HashMap;
+use zeroed_features::pattern::{generalize, Level};
 use zeroed_table::intern::ColumnDict;
 use zeroed_table::value::{is_missing, parse_numeric, tokenize};
 use zeroed_table::Table;
@@ -69,7 +71,7 @@ impl Program {
                 Op::NotMissing => stack.push(!is_missing(this)),
                 Op::PatternIn => {
                     let set = &self.pool.str_sets[imm_u32(code, &mut pc) as usize];
-                    let pattern = crate::dsl::l3_pattern(this);
+                    let pattern = generalize(this, Level::L3);
                     stack.push(set.binary_search(&pattern).is_ok());
                 }
                 Op::LenInRange => {

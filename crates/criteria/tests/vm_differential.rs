@@ -14,6 +14,7 @@ use std::collections::{HashMap, HashSet};
 use zeroed_criteria::dsl::{Check, CriteriaSet, Criterion};
 use zeroed_criteria::vm::DistinctEval;
 use zeroed_criteria::{compile_check, compile_set, verify, Program};
+use zeroed_features::pattern::{generalize, Level};
 use zeroed_table::Table;
 
 /// SplitMix64 — a tiny deterministic RNG, no external deps.
@@ -108,7 +109,7 @@ fn random_check(rng: &mut Rng, n_cols: usize, col: usize) -> Check {
         0 => Check::NotMissing,
         1 => Check::PatternTemplate {
             allowed: (0..rng.below(4))
-                .map(|_| zeroed_criteria::l3_pattern(*rng.pick(VALUES)))
+                .map(|_| generalize(*rng.pick(VALUES), Level::L3))
                 .collect(),
         },
         2 => {

@@ -61,13 +61,14 @@ fn mix64(mut x: u64) -> u64 {
 ///
 /// Ids are deterministic — [`TraceId::from_key`] over the same key and nonce
 /// always yields the same id — and never zero for a real request:
-/// [`TraceId::NONE`] marks events emitted outside any request scope (the
-/// sequential oracle path, run-scoped events like the store preload).
+/// [`TraceId::NONE`] marks events emitted outside any request scope (repair
+/// events of uncached runs such as the sequential oracle, run-scoped events
+/// like the store preload).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
 
 impl TraceId {
-    /// The "no request scope" id (sequential-path repair events, run-scoped
+    /// The "no request scope" id (repair events of uncached runs, run-scoped
     /// events). Grouped but exempt from per-request causality checks that
     /// assume a single logical request.
     pub const NONE: TraceId = TraceId(0);
@@ -635,8 +636,8 @@ impl TraceSummary {
 ///   and balance exactly at end of trace
 ///   (`mangled == salvaged + reasked + defaulted`).
 ///
-/// [`TraceId::NONE`] groups events emitted outside any request scope (the
-/// sequential path); it is checked with the same aggregate rules except the
+/// [`TraceId::NONE`] groups events emitted outside any request scope (e.g.
+/// repair events of uncached runs); it is checked with the same aggregate rules except the
 /// task exactly-once rule, which presumes a single logical task.
 pub fn check_causality(events: &[TraceEvent]) -> Result<(), String> {
     #[derive(Default)]
