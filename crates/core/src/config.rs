@@ -200,8 +200,9 @@ impl ZeroEdConfig {
 
     /// Runs the pipeline as the sequential oracle: one scheduler worker
     /// (every task inline on the calling thread, in index order) and no
-    /// cache — the same code path with no fan-out, dedup or store, which
-    /// concurrent and cached runs are verified against.
+    /// cache — the same code path with no LLM fan-out, dedup or store, which
+    /// concurrent and cached runs are verified against. Sampling and
+    /// detector still run on the order-preserving CPU pool.
     pub fn sequential_runtime(mut self) -> Self {
         self.runtime = RuntimeConfig::sequential();
         self

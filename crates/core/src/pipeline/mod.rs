@@ -1,18 +1,24 @@
 //! The four-step ZeroED pipeline.
 //!
-//! There is one execution path. Per-attribute work is fanned out on a
+//! There is one execution path. Per-attribute LLM work is fanned out on a
 //! [`zeroed_runtime::Scheduler`] sized by [`ZeroEdConfig::runtime`]. Each
 //! attribute's LLM stage chain (distribution analysis → guideline → label
 //! batches, then refinement → augmentation) runs as one task, preserving
 //! stage order within the attribute while attributes proceed in parallel.
+//! The CPU-bound steps, [`sampling`] and [`detector`], fan out one task per
+//! attribute on the process-wide `rayon` pool (one thread per core), so the
+//! clustering and MLP calls inside a task run inline on its thread; results
+//! come back in attribute order.
 //! When the request cache is enabled, the [`zeroed_llm::LlmClient`] is
 //! wrapped in a [`zeroed_runtime::CachedLlm`], so identical requests
 //! (retries, re-runs of the same detection) replay stored responses instead
 //! of calling the model.
 //!
 //! The correctness oracle is that same path under
-//! [`ZeroEdConfig::sequential_runtime`]: one worker, so the scheduler runs
-//! every task inline on the calling thread in index order, and no cache.
+//! [`ZeroEdConfig::sequential_runtime`]: one scheduler worker, so the
+//! scheduler runs every task inline on the calling thread in index order,
+//! and no cache. Sampling and detector still fan out on the CPU pool, whose
+//! results are order-preserving and bit-identical to a serial loop.
 //! Every other configuration must produce a bit-identical [`ErrorMask`]
 //! (asserted by the `runtime_equivalence` integration tests), the same
 //! discipline `zeroed_features::reference` established for the featuriser.
@@ -39,6 +45,7 @@ pub mod training_data;
 
 use crate::config::ZeroEdConfig;
 use crate::report::{DetectionOutcome, PipelineStats, StepTimings};
+use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use zeroed_features::{FeatureBuilder, FeatureConfig};
@@ -321,10 +328,11 @@ impl ZeroEd {
         outcome
     }
 
-    /// The five pipeline steps, with per-attribute work fanned out on a
+    /// The five pipeline steps, with per-attribute LLM work fanned out on a
     /// scheduler built from [`ZeroEdConfig::runtime`] (inline on the calling
-    /// thread when it has one worker). Each step is a top-level span of the
-    /// stage profile; [`StepTimings`] are read back from those spans.
+    /// thread when it has one worker) and per-attribute CPU work on the
+    /// `rayon` pool. Each step is a top-level span of the stage profile;
+    /// [`StepTimings`] are read back from those spans.
     fn run_pipeline(
         &self,
         dirty: &Table,
@@ -392,17 +400,20 @@ impl ZeroEd {
         let step = root.child("sampling");
         let timer = step.timer();
         let per_col = step.child_dist("sample_column");
-        let samplings: Vec<sampling::ColumnSampling> = scheduler.run(n_cols, |j| {
-            per_col.time(|| {
-                sampling::sample_column(
-                    &feats.unified[j],
-                    config.clusters_for(n_rows),
-                    config.sampling.into(),
-                    config.seed.wrapping_add(j as u64),
-                    config.max_cluster_rows,
-                )
+        let samplings: Vec<sampling::ColumnSampling> = (0..n_cols)
+            .into_par_iter()
+            .map(|j| {
+                per_col.time(|| {
+                    sampling::sample_column(
+                        &feats.unified[j],
+                        config.clusters_for(n_rows),
+                        config.sampling.into(),
+                        config.seed.wrapping_add(j as u64),
+                        config.max_cluster_rows,
+                    )
+                })
             })
-        });
+            .collect();
         timer.stop();
 
         // ------------------------------------------------------------------
@@ -477,18 +488,21 @@ impl ZeroEd {
         let timer = step.timer();
         let per_col = step.child_dist("train_predict");
         let mut mask = ErrorMask::for_table(dirty);
-        let predictions: Vec<Vec<bool>> = scheduler.run(n_cols, |j| {
-            per_col.time(|| {
-                detector::train_and_predict(
-                    dirty,
-                    j,
-                    &fitted,
-                    &feats.unified[j],
-                    &training[j],
-                    config,
-                )
+        let predictions: Vec<Vec<bool>> = (0..n_cols)
+            .into_par_iter()
+            .map(|j| {
+                per_col.time(|| {
+                    detector::train_and_predict(
+                        dirty,
+                        j,
+                        &fitted,
+                        &feats.unified[j],
+                        &training[j],
+                        config,
+                    )
+                })
             })
-        });
+            .collect();
         for (j, column_pred) in predictions.iter().enumerate() {
             for (i, &flag) in column_pred.iter().enumerate() {
                 if flag {
@@ -506,8 +520,11 @@ impl ZeroEd {
         let mut profile = profiler.snapshot();
         let timings = StepTimings::from_profile(&profile);
         // Graft the scheduler's per-task distributions: queue wait (submit →
-        // pickup) and execute (task body) across all five fan-outs. CPU time
-        // summed over workers, so the node is parallel.
+        // pickup) and execute (task body) over its fan-outs: criteria
+        // generation and features, labeling and training data (sampling and
+        // detector run on the CPU pool instead). The total is per-task queue
+        // wait plus execute wall, not CPU time; tasks overlap, so the node is
+        // parallel.
         let st = scheduler.timings();
         let mut runtime_node = StageProfile::new("runtime");
         runtime_node.parallel = true;

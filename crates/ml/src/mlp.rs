@@ -21,6 +21,12 @@
 //!   oracle. The weighted form is what lets `zeroed-core`'s detector train on
 //!   deduplicated feature rows weighted by multiplicity instead of `n`
 //!   expanded copies.
+//!
+//! The parallel calls go to the vendored `rayon` pool. When the trainer
+//! itself runs inside a pool task, as `zeroed-core`'s detector does with one
+//! attribute per task, they run inline on that task's thread, so a batch
+//! costs no dispatch. Either way the single-owner, fixed-order accumulation
+//! above keeps the parameters bit-identical under any thread count.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

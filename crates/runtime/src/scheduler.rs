@@ -1,10 +1,13 @@
 //! The worker-pool scheduler and its configuration.
 //!
 //! [`Scheduler::run`] fans `n` index-addressed tasks out across a fixed pool
-//! of scoped worker threads fed by a bounded queue. The ZeroED pipeline maps
-//! one task to one attribute's stage chain (e.g. analysis → guideline →
-//! label batches), which preserves stage ordering *within* an attribute while
-//! attributes proceed concurrently. Results come back in task-index order, so
+//! of scoped worker threads fed by a bounded queue. It is the budget for
+//! latency-bound work: the ZeroED pipeline maps one task to one attribute's
+//! LLM stage chain (e.g. analysis → guideline → label batches), which
+//! preserves stage ordering *within* an attribute while attributes proceed
+//! concurrently, and keeps many model calls in flight at once. CPU-bound
+//! fan-outs (sampling, detector training) do not use it; they run on the
+//! core-sized `rayon` pool. Results come back in task-index order, so
 //! downstream consumers are oblivious to scheduling — the foundation of the
 //! bit-identical-to-sequential guarantee.
 
@@ -65,7 +68,9 @@ impl RuntimeConfig {
     /// executes every task inline on the calling thread, in index order) and
     /// no cache (so every request reaches the model and no store is
     /// written). It runs the same pipeline code as every other
-    /// configuration, minus fan-out, dedup and persistence.
+    /// configuration, minus scheduler fan-out, dedup and persistence. The
+    /// pipeline's CPU steps still fan out on the `rayon` pool, whose
+    /// order-preserving results are bit-identical to a serial loop.
     pub fn sequential() -> Self {
         Self {
             workers: 1,
