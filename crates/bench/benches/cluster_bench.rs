@@ -1,7 +1,9 @@
 //! Clustering cost in rows and dimensions (sampling step, paper §III-C).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use zeroed_cluster::{cluster, kmeans, kmeans_reference, KMeansConfig, SamplingMethod};
+use zeroed_cluster::{
+    assign_to_nearest, cluster, kmeans, kmeans_reference, DedupPoints, KMeansConfig, SamplingMethod,
+};
 
 fn synthetic(n: usize, dim: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -78,5 +80,48 @@ fn bench_kmeans_dedup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cluster, bench_kmeans_dedup);
+/// `n` all-distinct rows of non-integer values from a seeded xorshift
+/// stream, shaped like a hospital attribute's unified feature rows.
+fn distinct_rows(n: usize, dim: usize) -> Vec<Vec<f32>> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    (0..n)
+        .map(|_| {
+            (0..dim)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One Lloyd assignment step at hospital shape (5000 distinct vectors,
+/// D 110, k 250): the lanes-over-centroids kernel against the scalar argmin
+/// oracle it must match bit for bit.
+fn bench_assign_lanes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("assign");
+    let data = distinct_rows(5_000, 110);
+    let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
+    let dd = DedupPoints::build(&rows);
+    let centroids: Vec<Vec<f32>> = data.iter().step_by(20).cloned().collect();
+    let oracle = assign_to_nearest(&rows, &centroids);
+    assert_eq!(dd.assign_unique(&centroids), oracle);
+    group.bench_function("lanes_5000x110_k250", |b| {
+        b.iter(|| black_box(dd.assign_unique(&centroids)))
+    });
+    group.bench_function("oracle_5000x110_k250", |b| {
+        b.iter(|| black_box(assign_to_nearest(&rows, &centroids)))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cluster,
+    bench_kmeans_dedup,
+    bench_assign_lanes
+);
 criterion_main!(benches);

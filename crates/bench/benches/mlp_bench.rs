@@ -51,5 +51,40 @@ fn bench_mlp(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_mlp);
+/// Detector training at hospital shape (D 110, hidden 64, batch 64): the
+/// production `train_weighted` (lanes over hidden units) against the scalar
+/// `train` oracle it must match bit for bit.
+fn bench_train_hospital_shape(c: &mut Criterion) {
+    let (rows, labels) = synthetic(1_024, 110);
+    let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+    let weights = vec![1.0f32; refs.len()];
+    let config = MlpConfig {
+        hidden: 64,
+        batch_size: 64,
+        epochs: 2,
+        ..MlpConfig::default()
+    };
+    let mut lanes = Mlp::new(110, &config);
+    let mut scalar = Mlp::new(110, &config);
+    lanes.train_weighted(&refs, &labels, &weights, &config);
+    scalar.train(&refs, &labels, &config);
+    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let per_row: Vec<f32> = refs.iter().map(|r| scalar.predict_proba(r)).collect();
+    assert_eq!(bits(&lanes.predict_proba_batch(&refs)), bits(&per_row));
+
+    c.bench_function("mlp/train_weighted_1024x110_h64_b64", |b| {
+        b.iter(|| {
+            let mut mlp = Mlp::new(110, &config);
+            black_box(mlp.train_weighted(&refs, &labels, &weights, &config))
+        })
+    });
+    c.bench_function("mlp/train_scalar_1024x110_h64_b64", |b| {
+        b.iter(|| {
+            let mut mlp = Mlp::new(110, &config);
+            black_box(mlp.train(&refs, &labels, &config))
+        })
+    });
+}
+
+criterion_group!(benches, bench_mlp, bench_train_hospital_shape);
 criterion_main!(benches);

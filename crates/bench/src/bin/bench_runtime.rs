@@ -69,6 +69,12 @@
 //! outputs asserted identical before the `criteria_vm` ledger block records
 //! the speedups.
 //!
+//! Every invocation also runs the lane-kernel experiment: the k-means
+//! assignment and MLP training/prediction kernels against their scalar
+//! oracles on hospital-shaped inputs, in this release build, asserting
+//! bit-identical assignments, parameters and probabilities before the
+//! `kernels` ledger block records wall times and speed-ups.
+//!
 //! Every detection run carries a hierarchical stage profile
 //! (`PipelineStats::stage_profile`, built by `zeroed-obs`). The emitter
 //! asserts the accounting invariant on **every** run — including `--quick` —
@@ -90,8 +96,10 @@
 //! `target/BENCH_runtime.quick.json` so smoke runs never overwrite the
 //! committed full-size numbers; `--out PATH` overrides either.
 
+use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use zeroed_cluster::{assign_to_nearest, DedupPoints, LANES};
 use zeroed_core::pipeline::features;
 use zeroed_core::{
     DetectionOutcome, RouterConfig, RouterLlm, RuntimeConfig, StageRepair, StoreConfig, ZeroEd,
@@ -100,6 +108,7 @@ use zeroed_core::{
 use zeroed_criteria::verify;
 use zeroed_datagen::{generate, DatasetSpec, GenerateOptions};
 use zeroed_llm::{FaultSchedule, LlmClient, LlmProfile, MangleSchedule, SimLlm};
+use zeroed_ml::{Mlp, MlpConfig};
 use zeroed_obs::{
     chrome_trace_json, journal_jsonl, EventKind, Profiler, StageProfile, TraceId, TraceRecorder,
     TraceSummary,
@@ -1227,6 +1236,161 @@ fn criteria_section(rows: usize) -> String {
     block
 }
 
+/// Seeded non-integer rows in `[-2, 2)` for the kernel experiment (every
+/// row distinct, so assignment runs over `n` distinct vectors).
+fn kernel_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            (0..dim)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Best-of-`reps` wall time of `f` in milliseconds, with its last result.
+fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        out = Some(f());
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, out.expect("reps >= 1"))
+}
+
+/// Runs `f` as one task on the CPU pool, as the detector trains and
+/// predicts one attribute per task, so the MLP's inner parallel calls run
+/// inline on that task's thread, single-threaded like the scalar oracle.
+/// (A single-item parallel call would run on the caller without marking it
+/// a pool task, hence the idle second item.)
+fn on_pool_task<T: Send>(f: impl Fn() -> T + Sync) -> T {
+    let mut out: Vec<Option<T>> = (0..2usize)
+        .into_par_iter()
+        .map(|i| (i == 0).then(&f))
+        .collect();
+    out.swap_remove(0).expect("task 0 runs f")
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The lane-kernel experiment, emitted on **every** run (`--quick`
+/// included): the lane-structured distance and MLP kernels against their
+/// scalar oracles in this release build, whose auto-vectorised code the
+/// debug-mode unit tests never execute. Hospital-shaped inputs: one k-means
+/// assignment of 5000 distinct vectors (D 110) to 250 centroids, and MLP
+/// training at D 110, hidden 64, batch 64. Assignments, the final loss,
+/// every trained parameter and every predicted probability are asserted
+/// bit-identical before the block records wall times and speed-ups.
+fn kernels_section() -> String {
+    const DIM: usize = 110;
+    eprintln!("lane kernel experiment ...");
+    let data = kernel_rows(5_000, DIM, 0x9e37_79b9_7f4a_7c15);
+    let rows: Vec<&[f32]> = data.iter().map(|r| r.as_slice()).collect();
+    let centroids = kernel_rows(250, DIM, 0x2545_f491_4f6c_dd1d);
+    let dd = DedupPoints::build(&rows);
+    assert_eq!(dd.n_unique(), rows.len(), "kernel rows must be distinct");
+    let (assign_oracle_ms, oracle) = best_ms(3, || assign_to_nearest(&rows, &centroids));
+    let (assign_lanes_ms, lanes) = best_ms(3, || dd.assign_unique(&centroids));
+    assert_eq!(
+        lanes, oracle,
+        "lane assignment diverged from the scalar argmin"
+    );
+
+    let train_rows = &rows[..1_024];
+    let labels: Vec<f32> = (0..train_rows.len())
+        .map(|i| ((i * 7) % 5 < 2) as u8 as f32)
+        .collect();
+    let weights = vec![1.0f32; train_rows.len()];
+    let config = MlpConfig {
+        hidden: 64,
+        batch_size: 64,
+        epochs: 4,
+        ..MlpConfig::default()
+    };
+    let steps = config.epochs * train_rows.len().div_ceil(config.batch_size);
+    let (train_oracle_ms, (scalar, scalar_loss)) = best_ms(2, || {
+        let mut mlp = Mlp::new(DIM, &config);
+        let loss = mlp.train(train_rows, &labels, &config);
+        (mlp, loss)
+    });
+    let (train_lanes_ms, (trained, lanes_loss)) = best_ms(2, || {
+        on_pool_task(|| {
+            let mut mlp = Mlp::new(DIM, &config);
+            let loss = mlp.train_weighted(train_rows, &labels, &weights, &config);
+            (mlp, loss)
+        })
+    });
+    assert_eq!(
+        scalar_loss.to_bits(),
+        lanes_loss.to_bits(),
+        "MLP loss diverged"
+    );
+    for (a, b) in scalar.parameters().iter().zip(trained.parameters()) {
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "MLP parameters diverged from the scalar trainer"
+        );
+    }
+    let (predict_oracle_ms, per_row) = best_ms(3, || {
+        rows.iter()
+            .map(|r| scalar.predict_proba(r))
+            .collect::<Vec<f32>>()
+    });
+    let (predict_lanes_ms, batch) =
+        best_ms(3, || on_pool_task(|| trained.predict_proba_batch(&rows)));
+    assert_eq!(bits(&per_row), bits(&batch), "MLP probabilities diverged");
+
+    let assign_speedup = assign_oracle_ms / assign_lanes_ms.max(1e-9);
+    let train_speedup = train_oracle_ms / train_lanes_ms.max(1e-9);
+    let predict_speedup = predict_oracle_ms / predict_lanes_ms.max(1e-9);
+    eprintln!(
+        "  assign: oracle {assign_oracle_ms:.1} ms | lanes {assign_lanes_ms:.1} ms \
+         ({assign_speedup:.1}x) | mlp train: oracle {train_oracle_ms:.1} ms | lanes \
+         {train_lanes_ms:.1} ms ({train_speedup:.1}x) | predict: oracle \
+         {predict_oracle_ms:.1} ms | lanes {predict_lanes_ms:.1} ms ({predict_speedup:.1}x)"
+    );
+    let mut block = String::new();
+    let _ = writeln!(
+        block,
+        "    \"lanes\": {LANES}, \"outputs_identical\": true,"
+    );
+    let _ = writeln!(
+        block,
+        "    \"assign\": {{\"points\": {}, \"dim\": {DIM}, \"k\": {}, \
+         \"oracle_ms\": {assign_oracle_ms:.2}, \"lanes_ms\": {assign_lanes_ms:.2}, \
+         \"speedup\": {assign_speedup:.2}}},",
+        rows.len(),
+        centroids.len(),
+    );
+    let _ = writeln!(
+        block,
+        "    \"mlp_train\": {{\"rows\": {}, \"dim\": {DIM}, \"hidden\": {}, \"batch\": {}, \
+         \"steps\": {steps}, \"oracle_ms\": {train_oracle_ms:.2}, \
+         \"lanes_ms\": {train_lanes_ms:.2}, \"speedup\": {train_speedup:.2}}},",
+        train_rows.len(),
+        config.hidden,
+        config.batch_size,
+    );
+    let _ = write!(
+        block,
+        "    \"mlp_predict\": {{\"rows\": {}, \"oracle_ms\": {predict_oracle_ms:.2}, \
+         \"lanes_ms\": {predict_lanes_ms:.2}, \"speedup\": {predict_speedup:.2}}}",
+        rows.len(),
+    );
+    block
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = None;
@@ -1424,6 +1588,11 @@ fn main() {
     // guard the equivalence, full runs refresh the ledger's speedups.
     json.push_str(",\n  \"criteria_vm\": {\n");
     json.push_str(&criteria_section(rows));
+    json.push_str("\n  }");
+    // Always emitted too: the lane kernels vs their scalar oracles in the
+    // release build, outputs asserted bit-identical.
+    json.push_str(",\n  \"kernels\": {\n");
+    json.push_str(&kernels_section());
     json.push_str("\n  }");
     if shapes {
         json.push_str(",\n  \"shapes\": [\n");

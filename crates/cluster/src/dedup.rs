@@ -15,11 +15,47 @@
 //! so any computation on a unique vector produces bit-identical results to
 //! running it on every duplicate row — the property the equivalence oracles
 //! in `kmeans` and `zeroed-ml` assert.
+//!
+//! ## Lane-structured distance kernels
+//!
+//! The scalar [`crate::sq_dist`] is one serial f32 add chain per pair, which
+//! the compiler cannot vectorise without reassociating it. The dedup passes
+//! instead give each of [`LANES`] SIMD lanes its *own* independent
+//! accumulator and vectorise across lanes, never within a sum:
+//!
+//! * [`DedupPoints::assign_unique`] (the Lloyd assignment, the bulk of the
+//!   clustering cost) packs the centroids dim-major once per call and scores
+//!   `LANES` centroids per step against one distinct vector;
+//! * the k-means++ distance update, the empty-cluster reseed and
+//!   [`DedupPoints::representatives`] run `LANES` distinct vectors per step
+//!   over a dim-major copy of the distincts built once per `DedupPoints`.
+//!
+//! Three facts keep every result bit-identical to the scalar oracles:
+//!
+//! 1. **Each lane adds in the scalar order.** A lane starts at `0.0` and adds
+//!    `(x - c)²` for dimensions `0, 1, 2, …`, exactly `sq_dist`'s sequence
+//!    of operations, so its f32 sum is the same number.
+//! 2. **No fused multiply-add.** rustc never contracts `a * b + c` into an
+//!    FMA (LLVM only fuses under fast-math flags Rust does not emit), so the
+//!    vector code rounds the product and the sum separately, as the scalar
+//!    code does. The kernels must not call `mul_add`, which would round once.
+//! 3. **The argmin keeps index order.** Lanes are scanned block by block in
+//!    ascending centroid index with a strict `<` against a running best that
+//!    starts at `+∞`, so ties go to the lowest index and NaN distances never
+//!    win, as in [`crate::assign_to_nearest`]. Padding lanes past `k` are
+//!    never scanned.
 
-use crate::{sq_dist, Clustering};
+use crate::Clustering;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
+
+/// Lane width of the distance kernels: the number of independent f32
+/// accumulators one kernel step advances together. Sixteen lanes fill four
+/// 128-bit vectors, enough independent add chains to hide the add latency
+/// on the baseline x86-64 target.
+pub const LANES: usize = 16;
 
 /// Rotate-xor-multiply (FxHash-style) hasher: the keys are content hashes of
 /// short f32 rows, for which SipHash's DoS resistance is wasted cost.
@@ -83,6 +119,9 @@ pub struct DedupPoints {
     counts: Vec<u32>,
     /// First input row holding each distinct vector.
     first_rows: Vec<u32>,
+    /// Dim-major copy of `unique` for the lanes-over-points kernels, built
+    /// on first use (see [`DedupPoints::point_panels`]).
+    point_panels: OnceLock<Vec<[f32; LANES]>>,
 }
 
 impl DedupPoints {
@@ -124,6 +163,7 @@ impl DedupPoints {
             codes,
             counts,
             first_rows,
+            point_panels: OnceLock::new(),
         }
     }
 
@@ -183,23 +223,18 @@ impl DedupPoints {
             .collect()
     }
 
-    /// Nearest-centroid index per *distinct* vector (parallel).
+    /// Nearest-centroid index per *distinct* vector (parallel over
+    /// distincts).
+    ///
+    /// Each call packs the centroids once into dim-major panels and scores
+    /// every distinct vector against [`LANES`] centroids at a time; see the
+    /// module docs for why the result is bit-identical to the scalar
+    /// [`crate::assign_to_nearest`] argmin.
     pub fn assign_unique(&self, centroids: &[Vec<f32>]) -> Vec<usize> {
+        let panels = CentroidPanels::new(centroids, self.dim);
         (0..self.n_unique())
             .into_par_iter()
-            .map(|u| {
-                let row = self.unique_row(u);
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for (c, centroid) in centroids.iter().enumerate() {
-                    let d = sq_dist(row, centroid);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                best
-            })
+            .map(|u| panels.nearest(self.unique_row(u)))
             .collect()
     }
 
@@ -220,20 +255,143 @@ impl DedupPoints {
     /// strict `<` reproduces the row-order tie-break exactly.
     pub fn representatives(&self, clustering: &Clustering) -> Vec<usize> {
         debug_assert_eq!(clustering.assignments.len(), self.n_rows());
+        let assigned = |u: usize| clustering.assignments[self.first_rows[u] as usize];
         let mut best: Vec<Option<(u32, f32)>> = vec![None; clustering.k];
-        for u in 0..self.n_unique() {
-            let first = self.first_rows[u];
-            let a = clustering.assignments[first as usize];
-            let d = sq_dist(self.unique_row(u), &clustering.centroids[a]);
+        self.sq_dists_to_assigned(&clustering.centroids, assigned, |u, d| {
+            let a = assigned(u);
             match best[a] {
                 Some((_, bd)) if !(d < bd) => {}
-                _ => best[a] = Some((first, d)),
+                _ => best[a] = Some((self.first_rows[u], d)),
             }
-        }
+        });
         best.into_iter()
             .flatten()
             .map(|(i, _)| i as usize)
             .collect()
+    }
+
+    /// The distinct vectors packed by [`pack_panels`] for the
+    /// lanes-over-points kernels, built on first use.
+    fn point_panels(&self) -> &[[f32; LANES]] {
+        let distincts = (0..self.n_unique()).map(|u| self.unique_row(u));
+        self.point_panels
+            .get_or_init(|| pack_panels(distincts, self.dim))
+    }
+
+    /// Calls `f(u, sq_dist(unique_row(u), centroid))` for every distinct `u`
+    /// in ascending order, [`LANES`] distincts at a time.
+    pub(crate) fn sq_dists_to(&self, centroid: &[f32], mut f: impl FnMut(usize, f32)) {
+        debug_assert_eq!(centroid.len(), self.dim);
+        let nu = self.n_unique();
+        let panels = self.point_panels();
+        for b in 0..nu.div_ceil(LANES) {
+            let block = &panels[b * self.dim..(b + 1) * self.dim];
+            let mut acc = [0.0f32; LANES];
+            for (lanes, &c) in block.iter().zip(centroid) {
+                for (a, &x) in acc.iter_mut().zip(lanes) {
+                    let d = x - c;
+                    *a += d * d;
+                }
+            }
+            let base = b * LANES;
+            for (l, &d) in acc.iter().enumerate().take(nu - base) {
+                f(base + l, d);
+            }
+        }
+    }
+
+    /// Calls `f(u, sq_dist(unique_row(u), &centroids[assigned(u)]))` for
+    /// every distinct `u` in ascending order, [`LANES`] distincts at a time.
+    /// The lanes read different centroids, so this kernel gains independent
+    /// accumulator chains rather than SIMD loads.
+    pub(crate) fn sq_dists_to_assigned(
+        &self,
+        centroids: &[Vec<f32>],
+        assigned: impl Fn(usize) -> usize,
+        mut f: impl FnMut(usize, f32),
+    ) {
+        let nu = self.n_unique();
+        let panels = self.point_panels();
+        for b in 0..nu.div_ceil(LANES) {
+            let base = b * LANES;
+            // Padding lanes borrow the last distinct's centroid; their sums
+            // are never reported.
+            let cs: [&[f32]; LANES] =
+                std::array::from_fn(|l| &centroids[assigned((base + l).min(nu - 1))][..self.dim]);
+            let block = &panels[b * self.dim..(b + 1) * self.dim];
+            let mut acc = [0.0f32; LANES];
+            for (dim, lanes) in block.iter().enumerate() {
+                for ((a, &x), c) in acc.iter_mut().zip(lanes).zip(&cs) {
+                    let d = x - c[dim];
+                    *a += d * d;
+                }
+            }
+            for (l, &d) in acc.iter().enumerate().take(nu - base) {
+                f(base + l, d);
+            }
+        }
+    }
+}
+
+/// Packs `dim`-long vectors into lane panels: block `b` holds vectors
+/// `b*LANES..(b+1)*LANES` dim-major, one `[f32; LANES]` per dimension, the
+/// last block zero-padded.
+fn pack_panels<'a>(
+    vectors: impl ExactSizeIterator<Item = &'a [f32]>,
+    dim: usize,
+) -> Vec<[f32; LANES]> {
+    let mut panels = vec![[0.0f32; LANES]; vectors.len().div_ceil(LANES) * dim];
+    for (v, vector) in vectors.enumerate() {
+        let block = &mut panels[(v / LANES) * dim..][..dim];
+        for (lanes, &x) in block.iter_mut().zip(vector) {
+            lanes[v % LANES] = x;
+        }
+    }
+    panels
+}
+
+/// Centroids packed by [`pack_panels`] once per
+/// [`DedupPoints::assign_unique`] call, for lanes-over-centroids scoring.
+struct CentroidPanels {
+    panels: Vec<[f32; LANES]>,
+    dim: usize,
+    k: usize,
+}
+
+impl CentroidPanels {
+    fn new(centroids: &[Vec<f32>], dim: usize) -> Self {
+        Self {
+            panels: pack_panels(centroids.iter().map(Vec::as_slice), dim),
+            dim,
+            k: centroids.len(),
+        }
+    }
+
+    /// Index of the centroid nearest to `row`: the first strict minimum in
+    /// centroid order, as the scalar scan picks it (0 when every distance is
+    /// NaN or there are no centroids).
+    fn nearest(&self, row: &[f32]) -> usize {
+        debug_assert_eq!(row.len(), self.dim);
+        let mut best = 0usize;
+        let mut best_d = f32::INFINITY;
+        for b in 0..self.k.div_ceil(LANES) {
+            let block = &self.panels[b * self.dim..(b + 1) * self.dim];
+            let mut acc = [0.0f32; LANES];
+            for (&x, lanes) in row.iter().zip(block) {
+                for (a, &c) in acc.iter_mut().zip(lanes) {
+                    let d = x - c;
+                    *a += d * d;
+                }
+            }
+            let base = b * LANES;
+            for (l, &d) in acc.iter().enumerate().take(self.k - base) {
+                if d < best_d {
+                    best_d = d;
+                    best = base + l;
+                }
+            }
+        }
+        best
     }
 }
 

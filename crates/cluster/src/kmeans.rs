@@ -201,20 +201,18 @@ fn lloyd_dedup(dd: &DedupPoints, centroids: &mut [Vec<f32>], config: &KMeansConf
         // refreshing distances after each pick so simultaneously-empty
         // clusters receive distinct points.
         if !empties.is_empty() {
-            let mut udist: Vec<f32> = (0..nu)
-                .map(|u| sq_dist(dd.unique_row(u), &centroids[uassign[u]]))
-                .collect();
+            let mut udist = vec![0.0f32; nu];
+            dd.sq_dists_to_assigned(centroids, |u| uassign[u], |u, d| udist[u] = d);
             for c in empties {
                 let far = farthest_row(dd.codes().iter().map(|&u| udist[u as usize]));
                 let far_u = dd.codes()[far] as usize;
                 movement += sq_dist(&centroids[c], dd.unique_row(far_u));
                 centroids[c] = dd.unique_row(far_u).to_vec();
-                for u in 0..nu {
-                    let nd = sq_dist(dd.unique_row(u), &centroids[c]);
+                dd.sq_dists_to(&centroids[c], |u, nd| {
                     if nd < udist[u] {
                         udist[u] = nd;
                     }
-                }
+                });
             }
         }
         if movement < config.tolerance {
@@ -327,9 +325,8 @@ fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec
     let nu = dd.n_unique();
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
     centroids.push(dd.row(rng.gen_range(0..n)).to_vec());
-    let mut udists: Vec<f32> = (0..nu)
-        .map(|u| sq_dist(dd.unique_row(u), &centroids[0]))
-        .collect();
+    let mut udists = vec![0.0f32; nu];
+    dd.sq_dists_to(&centroids[0], |u, d| udists[u] = d);
     while centroids.len() < k {
         let total: f64 = dd
             .codes()
@@ -352,12 +349,11 @@ fn plus_plus_init_dedup(dd: &DedupPoints, k: usize, rng: &mut ChaCha8Rng) -> Vec
         };
         centroids.push(dd.row(next).to_vec());
         let last = centroids.last().expect("just pushed");
-        for (u, d) in udists.iter_mut().enumerate() {
-            let nd = sq_dist(dd.unique_row(u), last);
-            if nd < *d {
-                *d = nd;
+        dd.sq_dists_to(last, |u, nd| {
+            if nd < udists[u] {
+                udists[u] = nd;
             }
-        }
+        });
     }
     centroids
 }

@@ -46,7 +46,7 @@ pub mod dedup;
 pub mod kmeans;
 
 pub use agglomerative::agglomerative;
-pub use dedup::DedupPoints;
+pub use dedup::{DedupPoints, LANES};
 pub use kmeans::{
     kmeans, kmeans_dedup, kmeans_reference, kmeans_reference_with_initial, kmeans_with_initial,
     KMeansConfig,

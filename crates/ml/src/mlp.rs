@@ -27,6 +27,25 @@
 //! attribute per task, they run inline on that task's thread, so a batch
 //! costs no dispatch. Either way the single-owner, fixed-order accumulation
 //! above keeps the parameters bit-identical under any thread count.
+//!
+//! ## Lane-structured kernels
+//!
+//! `Mlp::forward` (the oracle's forward) runs one serial f32 add chain per
+//! hidden unit, which the compiler cannot vectorise without reassociating
+//! it. The batched trainer and [`Mlp::predict_proba_batch`] instead transpose
+//! `w1` once per batch (or call) into input-major panels of `LANES` (16) units
+//! and give each SIMD lane one unit's accumulator: a lane starts at `b1[j]`
+//! and adds `w1[j][i] * x[i]` for `i = 0, 1, 2, …`, the scalar order, so the
+//! compiler vectorises across units, never within a sum. The backward pass
+//! follows the same rule: `gw2` and `gb1` take lanes over units one example
+//! at a time (an inactive unit keeps its `gb1` sum through a select, never a
+//! `+ 0.0`, just as the scalar loop skips it), and each `gw1` row sums its
+//! unit's active examples in example order with `LANES` inputs per register
+//! block. rustc never contracts `a * b + c` into a fused multiply-add, so
+//! the vector code rounds every product and sum as the scalar code does; the
+//! kernels must not call `mul_add`. The batch loop reuses flat buffers (the
+//! panels, example-major activations, per-unit active lists) instead of
+//! allocating per example.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -112,6 +131,10 @@ pub struct Mlp {
     steps: usize,
 }
 
+/// Hidden units per step of the lane-structured forward: sixteen f32
+/// accumulators fill four 128-bit vectors on the baseline x86-64 target.
+const LANES: usize = 16;
+
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
@@ -147,6 +170,18 @@ impl Mlp {
         self.input_dim
     }
 
+    /// The trained parameters `[w1, b1, w2, b2]`, `w1` unit-major (row `j`
+    /// holds hidden unit `j`'s input weights): what equivalence checks
+    /// compare bit for bit.
+    pub fn parameters(&self) -> [&[f32]; 4] {
+        [
+            &self.w1.value,
+            &self.b1.value,
+            &self.w2.value,
+            &self.b2.value,
+        ]
+    }
+
     /// Forward pass returning `(hidden_activations, probability)`.
     fn forward(&self, x: &[f32]) -> (Vec<f32>, f32) {
         debug_assert_eq!(x.len(), self.input_dim);
@@ -174,6 +209,50 @@ impl Mlp {
     /// Hard prediction at the 0.5 threshold.
     pub fn predict(&self, x: &[f32]) -> bool {
         self.predict_proba(x) >= 0.5
+    }
+
+    /// `w1` packed for the lanes-over-hidden-units forward: block `b` holds
+    /// units `b*LANES..(b+1)*LANES` input-major, one `[f32; LANES]` per input
+    /// dimension, the last block zero-padded. Rebuilt in place (the buffer is
+    /// reused) whenever `w1` has changed.
+    fn pack_w1(&self, panels: &mut Vec<[f32; LANES]>) {
+        let d = self.input_dim;
+        panels.clear();
+        panels.resize(self.hidden.div_ceil(LANES) * d, [0.0; LANES]);
+        for (j, weights) in self.w1.value.chunks_exact(d.max(1)).enumerate() {
+            let block = &mut panels[(j / LANES) * d..][..d];
+            for (lanes, &w) in block.iter_mut().zip(weights) {
+                lanes[j % LANES] = w;
+            }
+        }
+    }
+
+    /// The forward pass with [`LANES`] hidden units per step over `w1`
+    /// packed by [`Mlp::pack_w1`]: writes the activations to `h` and returns
+    /// the probability, bit-identical to [`Mlp::forward`] (see the module
+    /// docs).
+    fn forward_lanes(&self, panels: &[[f32; LANES]], x: &[f32], h: &mut [f32]) -> f32 {
+        debug_assert_eq!(x.len(), self.input_dim);
+        let d = self.input_dim;
+        for (b, h_block) in h[..self.hidden].chunks_mut(LANES).enumerate() {
+            let mut acc = [0.0f32; LANES];
+            for (a, &bias) in acc.iter_mut().zip(&self.b1.value[b * LANES..]) {
+                *a = bias;
+            }
+            for (lanes, &xi) in panels[b * d..(b + 1) * d].iter().zip(x) {
+                for (a, &w) in acc.iter_mut().zip(lanes) {
+                    *a += w * xi;
+                }
+            }
+            for (hj, &a) in h_block.iter_mut().zip(&acc) {
+                *hj = a.max(0.0);
+            }
+        }
+        let mut out = self.b2.value[0];
+        for (w, &hj) in self.w2.value.iter().zip(h.iter()) {
+            out += w * hj;
+        }
+        sigmoid(out)
     }
 
     /// Trains the network on `(rows, labels)` (labels in `{0.0, 1.0}`) and
@@ -293,6 +372,15 @@ impl Mlp {
         let mut gb1 = vec![0.0f32; self.b1.value.len()];
         let mut gw2 = vec![0.0f32; self.w2.value.len()];
         let mut gb2 = vec![0.0f32; 1];
+        // Per-batch buffers reused across batches: packed `w1`, the batch's
+        // hidden activations (example-major, `hidden` per example), its
+        // weighted `dL/dlogit`s and each unit's active examples.
+        let hidden = self.hidden;
+        let mut panels = Vec::new();
+        let mut hs = vec![0.0f32; batch.min(n) * hidden];
+        let mut wdlogits = Vec::with_capacity(batch);
+        let mut active: Vec<(u32, f32)> = Vec::with_capacity(hidden * batch.min(n));
+        let mut n_active = vec![0usize; hidden];
 
         for _epoch in 0..config.epochs {
             // Fisher-Yates shuffle — same RNG stream as the scalar trainer.
@@ -302,19 +390,24 @@ impl Mlp {
             }
             let mut epoch_loss = 0.0f32;
             for chunk in order.chunks(batch) {
-                // Forward the whole batch (parallel over examples; the
-                // parameters are frozen within a batch, so each forward is
-                // independent and the results match the scalar interleaving).
-                let fwd: Vec<(Vec<f32>, f32)> = chunk
-                    .par_iter()
-                    .map(|&idx| self.forward(rows[idx]))
+                // Forward the whole batch (parallel over examples, lanes over
+                // hidden units; the parameters are frozen within a batch, so
+                // each forward is independent and the results match the
+                // scalar interleaving).
+                self.pack_w1(&mut panels);
+                let hs = &mut hs[..chunk.len() * hidden];
+                let probs: Vec<f32> = hs
+                    .par_chunks_mut(hidden)
+                    .enumerate()
+                    .map(|(e, h)| self.forward_lanes(&panels, rows[chunk[e]], h))
                     .collect();
+                let hs = &*hs;
                 // Weighted `dL/dlogit` per example, plus the serial loss and
                 // `b2` accumulations (scalar-order f32 sums).
                 gb2[0] = 0.0;
                 let mut chunk_weight = 0.0f32;
-                let mut wdlogits = Vec::with_capacity(chunk.len());
-                for (&idx, (_, p)) in chunk.iter().zip(fwd.iter()) {
+                wdlogits.clear();
+                for (&idx, p) in chunk.iter().zip(probs) {
                     let y = labels[idx];
                     let w = weights[idx];
                     let p_clamped = p.clamp(1e-7, 1.0 - 1e-7);
@@ -325,45 +418,61 @@ impl Mlp {
                     chunk_weight += w;
                     wdlogits.push(wdlogit);
                 }
-                // Backward, parallel over hidden units: unit `j` owns
-                // `gb1[j]`, `gw2[j]` and `gw1` row `j`, and accumulates over
-                // the batch in example order — exactly the scalar trainer's
-                // addition order for that location.
-                let per_unit: Vec<(f32, f32)> = (0..self.hidden)
-                    .into_par_iter()
-                    .map(|j| {
-                        let mut gb1_j = 0.0f32;
-                        let mut gw2_j = 0.0f32;
-                        for ((h, _), &wdlogit) in fwd.iter().zip(wdlogits.iter()) {
-                            gw2_j += wdlogit * h[j];
-                            if h[j] > 0.0 {
-                                gb1_j += wdlogit * self.w2.value[j];
-                            }
-                        }
-                        (gb1_j, gw2_j)
-                    })
-                    .collect();
-                for (j, (gb1_j, gw2_j)) in per_unit.into_iter().enumerate() {
-                    gb1[j] = gb1_j;
-                    gw2[j] = gw2_j;
-                }
-                let input_dim = self.input_dim;
+                // Backward. Unit `j` owns `gb1[j]`, `gw2[j]` and `gw1` row
+                // `j`, and accumulates over the batch in example order —
+                // exactly the scalar trainer's addition order for that
+                // location. `gw2` and `gb1` take lanes over units, one
+                // example at a time; an inactive unit keeps its `gb1` sum
+                // through a select, never a `+ 0.0`, just as the scalar
+                // trainer skips it.
+                gw2.iter_mut().for_each(|g| *g = 0.0);
+                gb1.iter_mut().for_each(|g| *g = 0.0);
                 let w2 = &self.w2.value;
-                gw1.par_chunks_mut(input_dim)
+                for (h, &wdlogit) in hs.chunks_exact(hidden).zip(&wdlogits) {
+                    let units = gw2.iter_mut().zip(gb1.iter_mut()).zip(h.iter().zip(w2));
+                    for ((gw2_j, gb1_j), (&hj, &w2_j)) in units {
+                        *gw2_j += wdlogit * hj;
+                        let active = *gb1_j + wdlogit * w2_j;
+                        *gb1_j = if hj > 0.0 { active } else { *gb1_j };
+                    }
+                }
+                // Each unit's active examples with their `dh`, unit-major
+                // and in example order (compacted without branches: every
+                // slot is written, only an active one is kept).
+                let len = chunk.len();
+                active.resize(hidden * len, (0, 0.0));
+                n_active.iter_mut().for_each(|c| *c = 0);
+                for (e, (h, &wdlogit)) in hs.chunks_exact(hidden).zip(&wdlogits).enumerate() {
+                    for (j, (&hj, &w2_j)) in h.iter().zip(w2).enumerate() {
+                        active[j * len + n_active[j]] = (e as u32, wdlogit * w2_j);
+                        n_active[j] += (hj > 0.0) as usize;
+                    }
+                }
+                // `gw1`, parallel over units: each row sums `dh * x` over
+                // the unit's active examples, `LANES` inputs at a time.
+                gw1.par_chunks_mut(self.input_dim)
                     .enumerate()
                     .for_each(|(j, grad_row)| {
-                        grad_row.iter_mut().for_each(|g| *g = 0.0);
-                        for (&idx, ((h, _), &wdlogit)) in
-                            chunk.iter().zip(fwd.iter().zip(wdlogits.iter()))
-                        {
-                            if h[j] <= 0.0 {
-                                continue;
+                        let terms = &active[j * len..j * len + n_active[j]];
+                        let (blocks, tail) = grad_row.as_chunks_mut::<LANES>();
+                        for (b, block) in blocks.iter_mut().enumerate() {
+                            let mut acc = [0.0f32; LANES];
+                            for &(e, dh) in terms {
+                                let x = &rows[chunk[e as usize]].as_chunks::<LANES>().0[b];
+                                for (a, &xi) in acc.iter_mut().zip(x) {
+                                    *a += dh * xi;
+                                }
                             }
-                            let dh = wdlogit * w2[j];
-                            for (g, &xi) in grad_row.iter_mut().zip(rows[idx].iter()) {
-                                *g += dh * xi;
+                            *block = acc;
+                        }
+                        let start = self.input_dim - tail.len();
+                        let mut acc = [0.0f32; LANES];
+                        for &(e, dh) in terms {
+                            for (a, &xi) in acc.iter_mut().zip(&rows[chunk[e as usize]][start..]) {
+                                *a += dh * xi;
                             }
                         }
+                        tail.copy_from_slice(&acc[..tail.len()]);
                     });
                 let scale = 1.0 / chunk_weight;
                 gw1.iter_mut().for_each(|g| *g *= scale);
@@ -384,11 +493,25 @@ impl Mlp {
         last_epoch_loss
     }
 
-    /// Predicted probabilities for a batch of rows (parallel over rows; each
-    /// forward is independent, so the results are identical to calling
+    /// Predicted probabilities for a batch of rows (parallel over blocks of
+    /// rows, lanes over hidden units from `w1` packed once per call; each
+    /// forward is independent, so the results are bit-identical to calling
     /// [`Mlp::predict_proba`] per row).
     pub fn predict_proba_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        rows.par_iter().map(|row| self.forward(row).1).collect()
+        const ROWS_PER_TASK: usize = 256;
+        let mut panels = Vec::new();
+        self.pack_w1(&mut panels);
+        let mut probs = vec![0.0f32; rows.len()];
+        probs
+            .par_chunks_mut(ROWS_PER_TASK)
+            .enumerate()
+            .for_each(|(t, out)| {
+                let mut h = vec![0.0f32; self.hidden];
+                for (p, row) in out.iter_mut().zip(&rows[t * ROWS_PER_TASK..]) {
+                    *p = self.forward_lanes(&panels, row, &mut h);
+                }
+            });
+        probs
     }
 
     /// Convenience: constructs and trains an MLP in one call through the
@@ -622,6 +745,61 @@ mod tests {
             .filter(|(r, &y)| mlp.predict(r) == (y > 0.5))
             .count();
         assert!(correct >= 110, "only {correct}/120 correct");
+    }
+
+    /// Seeded non-integer rows and labels for the lane-width sweeps.
+    fn seeded_data(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<f32>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| (next() >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0)
+                    .collect()
+            })
+            .collect();
+        let labels = (0..n).map(|_| (next() % 3 == 0) as u8 as f32).collect();
+        (rows, labels)
+    }
+
+    /// The lane-structured trainer and batch prediction must match the
+    /// scalar oracle bit for bit at hidden widths below, between and at
+    /// multiples of the lane width, with input dims that are not multiples
+    /// of it and a ragged final batch (203 = 6 x 32 + 11).
+    #[test]
+    fn lane_training_matches_scalar_across_hidden_widths() {
+        for hidden in [1usize, 5, 24, 64] {
+            for dim in [1usize, LANES - 1, LANES + 3, 110] {
+                let (rows, labels) = seeded_data(203, dim, (hidden * 1000 + dim) as u64);
+                let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+                let config = MlpConfig {
+                    hidden,
+                    epochs: 2,
+                    batch_size: 32,
+                    seed: 17,
+                    ..Default::default()
+                };
+                let ctx = format!("hidden={hidden} dim={dim}");
+                let mut scalar = Mlp::new(dim, &config);
+                let scalar_loss = scalar.train(&refs, &labels, &config);
+                let mut lanes = Mlp::new(dim, &config);
+                let lanes_loss = lanes.train_batched(&refs, &labels, &config);
+                assert_eq!(scalar_loss.to_bits(), lanes_loss.to_bits(), "{ctx}");
+                for (a, b) in scalar.parameters().iter().zip(lanes.parameters()) {
+                    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{ctx}");
+                }
+                let batch = lanes.predict_proba_batch(&refs);
+                for (row, p) in refs.iter().zip(batch) {
+                    assert_eq!(scalar.predict_proba(row).to_bits(), p.to_bits(), "{ctx}");
+                }
+            }
+        }
     }
 
     /// The parallel batch prediction must match per-row prediction bitwise.

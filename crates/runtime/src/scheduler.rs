@@ -1,15 +1,20 @@
 //! The worker-pool scheduler and its configuration.
 //!
 //! [`Scheduler::run`] fans `n` index-addressed tasks out across a fixed pool
-//! of scoped worker threads fed by a bounded queue. It is the budget for
-//! latency-bound work: the ZeroED pipeline maps one task to one attribute's
-//! LLM stage chain (e.g. analysis → guideline → label batches), which
-//! preserves stage ordering *within* an attribute while attributes proceed
-//! concurrently, and keeps many model calls in flight at once. CPU-bound
-//! fan-outs (sampling, detector training) do not use it; they run on the
-//! core-sized `rayon` pool. Results come back in task-index order, so
-//! downstream consumers are oblivious to scheduling — the foundation of the
-//! bit-identical-to-sequential guarantee.
+//! of scoped worker threads fed by a bounded queue. It carries the pipeline's
+//! LLM-bound work: the ZeroED pipeline maps one task to one attribute's LLM
+//! stage chain (e.g. analysis → guideline → label batches), which preserves
+//! stage ordering *within* an attribute while attributes proceed
+//! concurrently, so up to one model call per worker is in flight at once.
+//! The pool size is [`RuntimeConfig::workers`]; the default, `0`, resolves
+//! to `available_parallelism()` (see [`RuntimeConfig::effective_workers`]),
+//! so by default the budget is the core count, not a latency-sized request
+//! budget. Callers that model a serving backend set it explicitly
+//! (`bench_runtime` uses 16). CPU-bound fan-outs (sampling, detector
+//! training) do not use it; they run on the core-sized `rayon` pool. Results
+//! come back in task-index order, so downstream consumers are oblivious to
+//! scheduling — the foundation of the bit-identical-to-sequential
+//! guarantee.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
